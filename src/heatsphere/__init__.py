@@ -20,8 +20,6 @@ from .exactnum import (
 )
 from .invariants import (
     HeatInvariantResult,
-    KTableEven,
-    KTableOdd,
     heat_invariant,
     heat_invariant_closed,
     heat_invariant_even,
@@ -44,8 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactValue",
     "HeatInvariantResult",
-    "KTableEven",
-    "KTableOdd",
     "Rational",
     "SpectralDatum",
     "VerificationReport",

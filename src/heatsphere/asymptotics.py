@@ -33,7 +33,10 @@ class TruncationCapError(RuntimeError):
 
 
 def _max_k() -> int:
-    return int(os.environ.get("HEATSPHERE_MAX_K", DEFAULT_MAX_K))
+    text = os.environ.get("HEATSPHERE_MAX_K", str(DEFAULT_MAX_K))
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"HEATSPHERE_MAX_K must be a positive integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,9 @@ def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
 
     The tail from index k is bounded through mu <= (2k+d)^d and the
     decreasing term ratio rho(k); summation stops once that bound drops
-    below rel_tol of the partial sum.  Deterministic for fixed inputs.
+    below rel_tol of the partial sum; it is compared in log space, so it
+    cannot overflow.  mu_k steps by the exact ratio (2k+d+1)(k+d-1) /
+    ((2k+d-1)(k+1)), making the loop linear.  Deterministic for fixed inputs.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -63,10 +68,11 @@ def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
     cap = _max_k()
     acc = 1.0  # k = 0 term
     k = 1
+    mu = multiplicity(1, d)
     while True:
-        envelope = (2 * k + d) ** d * math.exp(-t * k * (k + d - 1))
+        log_envelope = d * math.log(2 * k + d) - t * k * (k + d - 1)
         rho = math.exp(-t * (2 * k + d)) * ((2 * k + d + 2) / (2 * k + d)) ** d
-        if rho < 1 and envelope / (1 - rho) <= rel_tol * acc:
+        if rho < 1 and log_envelope - math.log1p(-rho) <= math.log(rel_tol * acc):
             return acc
         if k > cap:
             raise TruncationCapError(
@@ -74,7 +80,8 @@ def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
                 f"raise HEATSPHERE_MAX_K or increase t"
             )
         # exp(log mu - t lambda) keeps huge multiplicities inside float range
-        acc += math.exp(math.log(multiplicity(k, d)) - t * k * (k + d - 1))
+        acc += math.exp(math.log(mu) - t * k * (k + d - 1))
+        mu = mu * (2 * k + d + 1) * (k + d - 1) // ((2 * k + d - 1) * (k + 1))
         k += 1
 
 

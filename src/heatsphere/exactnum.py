@@ -150,25 +150,35 @@ def gamma_half(m: int) -> ExactValue:
     return ExactValue(coeff, 1 if m == 1 else 0)
 
 
-# B_0, B_1, ... computed on demand; guarded so concurrent callers cannot
-# observe a half-extended table.
-_bernoulli_table: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
+# _tangents[k] = T_(2k-1), from tan z = sum T_(2k-1) z^(2k-1)/(2k-1)!, with a
+# placeholder at k = 0; guarded so concurrent callers never see a half-built table.
+_tangents: list[int] = [0, 1]
+_tangent_lock = threading.Lock()
+
+
+def tangent_numbers(count: int) -> list[int]:
+    """[0, T_1, T_3, ..., T_(2count-1)] by Brent & Harvey's integer algorithm
+    (arXiv:1108.0286); a longer request rebuilds the table at least twice as long."""
+    with _tangent_lock:
+        if len(_tangents) <= count:
+            size = max(count, 2 * len(_tangents) - 2)
+            table = [0] + [math.factorial(k) for k in range(size)]
+            for k in range(2, size + 1):
+                for j in range(k, size + 1):
+                    table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
+            _tangents[:] = table
+        return _tangents[: count + 1]
 
 
 def bernoulli(m: int) -> Rational:
-    """Bernoulli number B_m under the B_1 = -1/2 convention.
-
-    Defining recurrence: sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1,
-    i.e. the generating function z/(e^z - 1).
-    """
+    """Bernoulli number B_m under the B_1 = -1/2 convention (z/(e^z - 1)),
+    with B_2p = (-1)^(p-1) 2p T_(2p-1) / (4^p (4^p - 1)) from the tangent numbers."""
     if m < 0:
         raise ValueError(f"bernoulli of negative index {m}")
-    with _bernoulli_lock:
-        while len(_bernoulli_table) <= m:
-            j = len(_bernoulli_table)
-            acc = sum(
-                Fraction(math.comb(j + 1, k)) * _bernoulli_table[k] for k in range(j)
-            )
-            _bernoulli_table.append(-acc / (j + 1))
-        return _bernoulli_table[m]
+    if m % 2:
+        return Fraction(-1, 2) if m == 1 else Fraction(0)
+    if m == 0:
+        return Fraction(1)
+    p = m // 2
+    sign = 1 if p % 2 else -1
+    return Fraction(sign * m * tangent_numbers(p)[p], 4**p * (4**p - 1))

@@ -13,6 +13,7 @@ serves as an independent oracle for the others (`verify_crosscheck`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .exactnum import (
     binomial,
     factorial,
     gamma_half,
-    reciprocal_factorial,
+    tangent_numbers,
 )
 from .spectrum import eigenvalue, multiplicity, weyl_leading_term
 from .verification import VerificationReport
@@ -31,23 +32,6 @@ from .verification import VerificationReport
 CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
 
 ROUTES = ("general", "odd", "even", "closed", "weyl")
-
-
-@dataclass(frozen=True)
-class KTableOdd:
-    """Coefficients K_s, s = 1..alpha, of prod_{b=0}^{alpha-1}(z^2 - b^2)."""
-
-    alpha: int
-    entries: dict[int, Rational]
-
-
-@dataclass(frozen=True)
-class KTableEven:
-    """Coefficients K_t, t = 0..nu-1, of prod over b = 1/2, 3/2, ..., nu-3/2
-    of (z^2 - b^2), indexed so that K_t multiplies z^(2nu-2-2t)."""
-
-    nu: int
-    entries: dict[int, Rational]
 
 
 @dataclass(frozen=True)
@@ -59,32 +43,27 @@ class HeatInvariantResult:
     value: ExactValue
 
 
-def _expand_even_product(roots_squared: list[Fraction]) -> list[Fraction]:
-    # coefficients in u = z^2, ascending degree
-    coeffs = [Fraction(1)]
-    for r2 in roots_squared:
-        coeffs = [Fraction(0)] + coeffs  # multiply by u
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= r2 * coeffs[i + 1]
+def _expand_even_product(roots: list[int]) -> list[int]:
+    # ascending coefficients of prod (u - r) over the integer roots r
+    coeffs = [1]
+    for r in roots:
+        coeffs = [lo - r * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
     return coeffs
 
 
-def k_table_odd(alpha: int) -> KTableOdd:
+def k_table_odd(alpha: int) -> list[int]:
+    """Ascending coefficients c of prod_{b<alpha} (u - b^2), u = z^2: K_s = c[s], c[0] = 0."""
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    coeffs = _expand_even_product([Fraction(b * b) for b in range(alpha)])
-    # the b = 0 factor kills the constant term, so s runs from 1
-    assert coeffs[0] == 0
-    return KTableOdd(alpha, {s: coeffs[s] for s in range(1, alpha + 1)})
+    return _expand_even_product([b * b for b in range(alpha)])
 
 
-def k_table_even(nu: int) -> KTableEven:
+def k_table_even(nu: int) -> list[int]:
+    """Ascending coefficients c of prod_{i<nu-1} (U - (2i+1)^2), U = 4z^2: the roots
+    b = 1/2, ..., nu-3/2 scaled by 4, so K_t (of z^(2nu-2-2t)) is c[nu-1-t] / 4^t."""
     if nu < 1:
         raise ValueError(f"nu must be positive, got {nu}")
-    roots = [Fraction(2 * i + 1, 2) ** 2 for i in range(nu - 1)]
-    coeffs = _expand_even_product(roots)
-    # K_t sits in front of z^(2nu-2-2t), i.e. u^(nu-1-t)
-    return KTableEven(nu, {t: coeffs[nu - 1 - t] for t in range(nu)})
+    return _expand_even_product([(2 * i + 1) ** 2 for i in range(nu - 1)])
 
 
 def _general_sum(n: int, d: int, omega: int) -> ExactValue:
@@ -92,22 +71,23 @@ def _general_sum(n: int, d: int, omega: int) -> ExactValue:
     # with omega = 2n - 1 on purpose; everyone else goes through
     # heat_invariant_general, which enforces omega >= 2n.
     front = gamma_half(2 * omega + d + 2)  # Gamma(omega + d/2 + 1)
-    total = Fraction(0)
+    lams: list[int] = []
+    powers: list[int] = []  # powers[k-1] = mu_k lambda_k^(j+n) for the current j
+    total = 0
     for j in range(1, omega + 1):
+        powers = [power * lam for power, lam in zip(powers, lams)]
+        lams.append(eigenvalue(j, d))
+        powers.append(multiplicity(j, d) * lams[-1] ** (j + n))
         inner = 0
-        for k in range(1, j + 1):
-            term = (
-                binomial(2 * j + d - 1, j - k)
-                * multiplicity(k, d)
-                * eigenvalue(k, d) ** (j + n)
-            )
+        for k, power in enumerate(powers, 1):
+            term = binomial(2 * j + d - 1, j - k) * power
             inner += -term if k % 2 else term
-        if inner:
-            total += Fraction(
-                inner, factorial(omega - j) * factorial(j + n) * factorial(2 * j + d)
-            )
+        # inner / ((omega-j)! (j+n)! (2j+d)!) over the denominator below
+        scale = math.perm(omega, j) * math.perm(omega + n, omega - j)
+        total += inner * scale * math.perm(2 * omega + d, 2 * (omega - j))
+    denominator = factorial(omega) * factorial(omega + n) * factorial(2 * omega + d)
     sign = -1 if n % 2 else 1
-    return ExactValue(2 * sign * front.coeff * total, front.pi_half)
+    return ExactValue(2 * sign * front.coeff * Fraction(total, denominator), front.pi_half)
 
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
@@ -124,56 +104,53 @@ def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
 def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
     """a_{n, 2*alpha+1} as a single sum over the odd K-table.
 
-    Terms where the factorial argument n - alpha + s goes negative vanish
-    by the reciprocal-factorial convention, which here also keeps the
-    power of alpha nonnegative.
+    The K_s term is alpha^(2m) Gamma(s+1/2) / m! with m = n - alpha + s; it
+    vanishes for m < 0 (reciprocal gamma).  Gamma(s+1/2) = sqrt(pi) (2s)!/(4^s s!)
+    puts every term over the one denominator 4^alpha n! (2 alpha)!.
     """
     if n < 1 or alpha < 1:
         raise ValueError(f"need n >= 1 and alpha >= 1, got n={n}, alpha={alpha}")
-    table = k_table_odd(alpha)
-    total = Fraction(0)
-    for s in range(1, alpha + 1):
-        rf = reciprocal_factorial(n - alpha + s)
-        if rf == 0:
-            continue
-        total += (
-            Fraction(alpha) ** (2 * n - 2 * alpha + 2 * s)
-            * gamma_half(2 * s + 1).coeff
-            * table.entries[s]
-            * rf
-        )
-    return ExactValue(total / factorial(2 * alpha), 1)
+    a2, c = alpha * alpha, k_table_odd(alpha)
+    total = sum(
+        (a2 ** (n - alpha + s) * c[s] * math.perm(2 * s, s) * math.perm(n, alpha - s))
+        << 2 * (alpha - s)
+        for s in range(max(1, alpha - n), alpha + 1)
+    )
+    return ExactValue(Fraction(total, 4**alpha * factorial(n) * factorial(2 * alpha)), 1)
 
 
 def heat_invariant_even(n: int, nu: int) -> ExactValue:
     """a_{n, 2*nu}: polynomial part plus Bernoulli correction.
 
-    The correction sum is empty when nu > n.  Its sign convention is the
-    one that makes this route agree with the general route exactly; the
-    inverse-series ledger lives in opercalc.check_bernoulli_link.
+    With h = nu - 1/2 the polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)!
+    is an integer over 4^n n!.  The correction is empty when nu > n; its sign
+    convention makes this route agree with the general route exactly (the
+    ledger is opercalc.check_bernoulli_link).  With B_2p from T_(2p-1) and
+    1/((n-t-p)! (p-nu+t)!) = C(n-nu, n-t-p)/(n-nu)!, each p is one integer sum.
     """
     if n < 1 or nu < 1:
         raise ValueError(f"need n >= 1 and nu >= 1, got n={n}, nu={nu}")
-    table = k_table_even(nu)
-    half = Fraction(2 * nu - 1, 2)  # nu - 1/2
-    total = Fraction(0)
-    for t in range(nu):
-        rf = reciprocal_factorial(n - t)
-        if rf == 0:
-            continue
-        total += factorial(nu - 1 - t) * rf * half ** (2 * n - 2 * t) * table.entries[t]
-    for t in range(nu):
-        k_t = table.entries[t]
-        for p in range(nu - t, n - t + 1):
-            sign = -1 if (p + nu - t - 1) % 2 else 1
-            total += (
-                sign
-                * half ** (2 * n - 2 * t - 2 * p)
-                * bernoulli(2 * p)
-                * (Fraction(1, 2 ** (2 * p - 1)) - 1)
-                * k_t
-                / (p * factorial(n - t - p) * factorial(p - nu + t))
-            )
+    c = k_table_even(nu)
+    q = (2 * nu - 1) ** 2  # (2h)^2
+    poly = sum(
+        factorial(nu - 1 - t) * math.perm(n, t) * q ** (n - t) * c[nu - 1 - t]
+        for t in range(min(nu, n + 1))
+    )
+    total = Fraction(poly, 4**n * factorial(n))
+    if n >= nu:
+        m = n - nu
+        # weights[j] = C(m, j) (2h)^(2j), where j = n - t - p
+        weights = [binomial(m, j) * q**j for j in range(m + 1)]
+        tangents = tangent_numbers(n)
+        correction = Fraction(0)
+        for p in range(1, n + 1):
+            inner = 0
+            for t in range(max(0, nu - p), min(nu - 1, n - p) + 1):
+                term = weights[n - p - t] * c[nu - 1 - t]
+                inner += -term if t % 2 else term
+            correction += Fraction(inner * tangents[p] * (2 - 4**p), 4**p * (4**p - 1))
+        sign = -1 if nu % 2 else 1
+        total += sign * 2 * correction / (4**n * factorial(m))
     return ExactValue(total / factorial(2 * nu - 1), 0)
 
 
@@ -215,6 +192,8 @@ def heat_invariant(
     precedence over both `omega` and `formula`.  An explicit omega under
     "auto" forces the general route; otherwise parity picks odd/even.
     """
+    if isinstance(n, bool) or isinstance(d, bool):
+        raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if d < 1:

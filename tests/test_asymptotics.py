@@ -50,6 +50,19 @@ def test_truncation_cap(monkeypatch):
     assert heat_trace_numeric(2, 0.1) > 0
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_bad_truncation_cap_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("HEATSPHERE_MAX_K", value)
+    with pytest.raises(ValueError, match="HEATSPHERE_MAX_K"):
+        heat_trace_numeric(2, 0.1)
+
+
+def test_trace_survives_huge_multiplicities():
+    # (2k+d)^d overflows a double here; the tail bound must not
+    trace = heat_trace_numeric(200, 0.05)
+    assert math.isfinite(trace) and trace > 1
+
+
 def test_asymptotic_sum_values():
     # d = 2: a_0 = 1, a_1 = 1/3, a_2 = 1/15
     t = 0.2

@@ -159,6 +159,24 @@ def test_asympt_bad_t0_is_usage_error(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_asympt_bad_truncation_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HEATSPHERE_MAX_K", "abc")
+    code, _, err = run_cli(capsys, "asympt", "--d", "2", "--n-terms", "2")
+    assert code == 2 and "HEATSPHERE_MAX_K" in err
+
+
+def test_asympt_high_dimension_prints_a_verdict():
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "asympt", "--d", "200", "--n-terms", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["d"] == 200
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heatsphere", "compute", "--n", "1", "--d", "3"],

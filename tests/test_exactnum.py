@@ -1,10 +1,14 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heatsphere import exactnum
 from heatsphere.exactnum import (
     ExactValue,
     bernoulli,
@@ -13,6 +17,7 @@ from heatsphere.exactnum import (
     gamma_half,
     pochhammer,
     reciprocal_factorial,
+    tangent_numbers,
 )
 
 rationals = st.fractions(
@@ -99,18 +104,54 @@ def test_bernoulli_values():
     assert all(bernoulli(m) == 0 for m in range(3, 25, 2))
 
 
-def test_bernoulli_against_akiyama_tanigawa():
+def akiyama_tanigawa(n):
     # second, in-test oracle; this triangle scheme produces B_1 = +1/2,
     # everything else agrees with the recurrence convention
-    def oracle(n):
-        row = [Fraction(1, m + 1) for m in range(n + 1)]
-        for j in range(1, n + 1):
-            row = [(row[m] - row[m + 1]) * (m + 1) for m in range(n + 1 - j)]
-        return row[0]
+    row = [Fraction(1, m + 1) for m in range(n + 1)]
+    for j in range(1, n + 1):
+        row = [(row[m] - row[m + 1]) * (m + 1) for m in range(n + 1 - j)]
+    return row[0]
 
+
+def test_bernoulli_against_akiyama_tanigawa():
     for m in range(25):
-        expected = -oracle(1) if m == 1 else oracle(m)
+        expected = -akiyama_tanigawa(1) if m == 1 else akiyama_tanigawa(m)
         assert bernoulli(m) == expected
+
+
+def test_bernoulli_table_growth(monkeypatch):
+    # start from an empty tangent table so each call below has to grow it
+    monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+    assert bernoulli(24) == akiyama_tanigawa(24)
+    for m in (60, 100):
+        assert bernoulli(m) == akiyama_tanigawa(m)
+    assert len(exactnum._tangents) > 50
+    assert tangent_numbers(4) == [0, 1, 2, 16, 272]
+
+
+def test_tangent_table_growth_is_thread_safe(monkeypatch):
+    truth = {m: akiyama_tanigawa(m) for m in range(0, 81, 2)}
+    results = []
+
+    def worker(seed):
+        # each thread asks in its own order, so rebuilds interleave with reads
+        order = random.Random(seed).sample(sorted(truth), len(truth))
+        results.append({m: bernoulli(m) for m in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+            threads = [threading.Thread(target=worker, args=(8 * round_ + i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 160 and all(got == truth for got in results)
 
 
 def test_exact_value_zero_normalizes():

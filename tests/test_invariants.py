@@ -27,25 +27,27 @@ def sqrtpi(num, den=1):
 
 
 def test_k_table_odd():
-    assert k_table_odd(1).entries == {1: 1}
-    assert k_table_odd(2).entries == {1: -1, 2: 1}
-    assert k_table_odd(3).entries == {1: 4, 2: -5, 3: 1}
+    # ascending coefficients of prod (u - b^2); K_s = c[s], no constant term
+    assert k_table_odd(1) == [0, 1]
+    assert k_table_odd(2) == [0, -1, 1]
+    assert k_table_odd(3) == [0, 4, -5, 1]
 
 
 def test_k_table_odd_is_monic():
     for alpha in range(1, 8):
-        assert k_table_odd(alpha).entries[alpha] == 1
+        assert k_table_odd(alpha)[alpha] == 1
 
 
 def test_k_table_even():
-    assert k_table_even(1).entries == {0: 1}
-    assert k_table_even(2).entries == {0: 1, 1: Fraction(-1, 4)}
-    assert k_table_even(3).entries == {0: 1, 1: Fraction(-5, 2), 2: Fraction(9, 16)}
+    # K_t = c[nu-1-t] / 4^t: K = 1; K = 1, -1/4; K = 1, -5/2, 9/16
+    assert k_table_even(1) == [1]
+    assert k_table_even(2) == [-1, 1]
+    assert k_table_even(3) == [9, -10, 1]
 
 
 def test_k_table_even_leading_entry():
     for nu in range(1, 8):
-        assert k_table_even(nu).entries[0] == 1
+        assert k_table_even(nu)[nu - 1] == 1
 
 
 def test_k_table_validation():
@@ -146,6 +148,10 @@ def test_dispatcher_validation():
         heat_invariant(-1, 3)
     with pytest.raises(ValueError):
         heat_invariant(1, 0)
+    with pytest.raises(ValueError):
+        heat_invariant(True, 3)
+    with pytest.raises(ValueError):
+        heat_invariant(2, True)
 
 
 def test_result_is_frozen():
@@ -169,6 +175,20 @@ def test_cross_formula_equality_small_box():
             assert heat_invariant_general(n, 2 * alpha + 1, 2 * n) == heat_invariant_odd(n, alpha)
         for nu in range(1, 4):
             assert heat_invariant_general(n, 2 * nu, 2 * n) == heat_invariant_even(n, nu)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (20, 40),  # even, n = nu: the correction's binomial is C(0, 0)
+        (25, 30),  # even, n > nu
+        (12, 40),  # even, n < nu: no correction at all
+        (14, 61),  # odd, alpha > n: the K-table sum starts at s = alpha - n
+        (9, 101),  # odd, alpha > n
+    ],
+)
+def test_parity_route_matches_general_route_on_mid_cells(n, d):
+    assert heat_invariant(n, d).value == heat_invariant_general(n, d, 2 * n)
 
 
 def test_omega_stability_small_box():
