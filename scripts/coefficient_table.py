@@ -1,46 +1,28 @@
 #!/usr/bin/env python3
-"""Print a table of heat-trace coefficients a(n, d).
+"""Print a markdown table of heat-trace coefficients a(n, d), one column per d.
 
-The markdown format is meant for eyeballing; csv matches the layout the
-CLI emits so downstream tooling only needs one parser.
+Each column is one `heat_invariant_row`.  For machine-readable output use
+`heatsphere compute --n 0..N --d 1..D --format csv`.
 """
 
 import argparse
-import csv
 import sys
 
-from heatsphere.invariants import heat_invariant
+from heatsphere.invariants import heat_invariant_row
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-d", type=int, default=8)
-    parser.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     args = parser.parse_args()
     if args.max_n < 0 or args.max_d < 1:
         parser.error("need --max-n >= 0 and --max-d >= 1")
 
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "d", "omega", "route", "num", "den", "pi_half", "float"])
-        for n in range(args.max_n + 1):
-            for d in range(1, args.max_d + 1):
-                res = heat_invariant(n, d)
-                v = res.value
-                writer.writerow(
-                    [n, d, "", res.route, v.coeff.numerator, v.coeff.denominator,
-                     v.pi_half, repr(float(v))]
-                )
-        return 0
-
-    header = ["n \\ d"] + [str(d) for d in range(1, args.max_d + 1)]
-    rows = []
-    for n in range(args.max_n + 1):
-        row = [str(n)]
-        for d in range(1, args.max_d + 1):
-            row.append(str(heat_invariant(n, d).value))
-        rows.append(row)
+    dims = range(1, args.max_d + 1)
+    columns = [heat_invariant_row(range(args.max_n + 1), d) for d in dims]
+    header = ["n \\ d"] + [str(d) for d in dims]
+    rows = [[str(n)] + [str(column[n].value) for column in columns] for n in range(args.max_n + 1)]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     print(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("-|-".join("-" * w for w in widths))

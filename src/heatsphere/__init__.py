@@ -25,11 +25,11 @@ from .invariants import (
     heat_invariant_even,
     heat_invariant_general,
     heat_invariant_odd,
+    heat_invariant_row,
     k_table_even,
     k_table_odd,
 )
 from .spectrum import (
-    SpectralDatum,
     eigenvalue,
     multiplicity,
     sphere_volume,
@@ -43,7 +43,6 @@ __all__ = [
     "ExactValue",
     "HeatInvariantResult",
     "Rational",
-    "SpectralDatum",
     "VerificationReport",
     "Witness",
     "bernoulli",
@@ -56,6 +55,7 @@ __all__ = [
     "heat_invariant_even",
     "heat_invariant_general",
     "heat_invariant_odd",
+    "heat_invariant_row",
     "k_table_even",
     "k_table_odd",
     "multiplicity",

@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import asymptotics, identities, invariants, legendre, opercalc
+from .exactnum import ExactValue
 from .verification import VerificationReport
 
 _VERIFY_TARGETS = (
@@ -54,9 +56,27 @@ def _parse_rationals(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}") from None
 
 
+def _float_or_none(value: ExactValue) -> float | None:
+    """The rounded double, or None when the value is beyond double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _log10_abs(value: ExactValue) -> float | None:
+    """log10 |value| from the exact integers, so that magnitudes a double
+    cannot hold (or rounds to zero or a subnormal) survive; None for zero."""
+    coeff = value.coeff
+    if coeff == 0:
+        return None
+    logs = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
+    return logs + value.pi_half * math.log10(math.pi) / 2
+
+
 def _record_dict(result: invariants.HeatInvariantResult) -> dict:
     value = result.value
-    record = {
+    return {
         "n": result.n,
         "d": result.d,
         "omega_used": result.omega_used,
@@ -66,20 +86,33 @@ def _record_dict(result: invariants.HeatInvariantResult) -> dict:
             "den": str(value.coeff.denominator),
             "pi_half": value.pi_half,
         },
-        "float_value": float(value),
+        "float_value": _float_or_none(value),
+        "log10_abs": _log10_abs(value),
     }
-    return record
+
+
+def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantResult]:
+    """Every requested cell, n outer and d inner, all computed before any is printed.
+
+    Under the default dispatch each d with two or more n is one row
+    (`heat_invariant_row`); the first invalid input raises the same error as
+    the cell-by-cell order would.
+    """
+    if args.formula == "auto" and args.omega is None and len(args.n) >= 2:
+        rows = [invariants.heat_invariant_row(args.n, d) for d in args.d]
+        return [row[i] for i in range(len(args.n)) for row in rows]
+    return [
+        invariants.heat_invariant(n, d, omega=args.omega, formula=args.formula)
+        for n in args.n
+        for d in args.d
+    ]
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     if args.omega is not None and args.formula not in ("auto", "general"):
         print(f"error: --omega is incompatible with --formula {args.formula}", file=sys.stderr)
         return 2
-    results = [
-        invariants.heat_invariant(n, d, omega=args.omega, formula=args.formula)
-        for n in args.n
-        for d in args.d
-    ]
+    results = _compute_results(args)
     if args.format == "json":
         for result in results:
             print(json.dumps(_record_dict(result)))
@@ -88,6 +121,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         writer.writerow(CSV_HEADER)
         for result in results:
             value = result.value
+            rounded = _float_or_none(value)
             writer.writerow(
                 [
                     result.n,
@@ -97,7 +131,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                     value.coeff.numerator,
                     value.coeff.denominator,
                     value.pi_half,
-                    repr(float(value)),
+                    "" if rounded is None else repr(rounded),
                 ]
             )
     return 0

@@ -14,6 +14,7 @@ serves as an independent oracle for the others (`verify_crosscheck`).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +31,6 @@ from .spectrum import eigenvalue, multiplicity, weyl_leading_term
 from .verification import VerificationReport
 
 CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
-
-ROUTES = ("general", "odd", "even", "closed", "weyl")
 
 
 @dataclass(frozen=True)
@@ -101,42 +100,68 @@ def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
     return _general_sum(n, d, omega)
 
 
-def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
-    """a_{n, 2*alpha+1} as a single sum over the odd K-table.
+def _binomial_sum(n: int, u: list[int], x: int) -> int:
+    """sum_k C(n, k) u[k] x^(n-k), by Horner in x.
 
-    The K_s term is alpha^(2m) Gamma(s+1/2) / m! with m = n - alpha + s; it
-    vanishes for m < 0 (reciprocal gamma).  Gamma(s+1/2) = sqrt(pi) (2s)!/(4^s s!)
-    puts every term over the one denominator 4^alpha n! (2 alpha)!.
+    This is n! times the t^n coefficient of e^(xt) sum_k u[k] t^k / k!: every
+    parity-route sum is such a Cauchy product, with x = rho^2 (odd d) or
+    (2 rho)^2 (even d), rho = (d-1)/2, and a series u that does not depend
+    on n (Cahn-Wolf).
     """
+    top = min(n, len(u) - 1)
+    acc, binom = 0, 1
+    for k in range(top + 1):
+        acc = acc * x + u[k] * binom
+        binom = binom * (n - k) // (k + 1)
+    return acc * x ** (n - top)
+
+
+def _odd_row(alpha: int, top: int) -> Callable[[int], ExactValue]:
+    # The K_s term is alpha^(2m) Gamma(s+1/2) / m! with m = n - alpha + s; it
+    # vanishes for m < 0 (reciprocal gamma).  Gamma(s+1/2) = sqrt(pi) (2s)!/(4^s s!)
+    # puts every term over the one denominator 4^alpha n! (2 alpha)!; with k = alpha - s
+    # the numerator is _binomial_sum(n, u, alpha^2), u[k] = k! c[s] (2s)!/s! 4^k.
+    # c[0] = 0 drops k = alpha.
+    c = k_table_odd(alpha)
+    u = [
+        factorial(k) * c[alpha - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
+        for k in range(min(top, alpha - 1) + 1)
+    ]
+    scale = 4**alpha * factorial(2 * alpha)
+    return lambda n: ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * factorial(n)), 1)
+
+
+def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
+    """a_{n, 2*alpha+1} as a single sum over the odd K-table."""
     if n < 1 or alpha < 1:
         raise ValueError(f"need n >= 1 and alpha >= 1, got n={n}, alpha={alpha}")
-    a2, c = alpha * alpha, k_table_odd(alpha)
-    total = sum(
-        (a2 ** (n - alpha + s) * c[s] * math.perm(2 * s, s) * math.perm(n, alpha - s))
-        << 2 * (alpha - s)
-        for s in range(max(1, alpha - n), alpha + 1)
-    )
-    return ExactValue(Fraction(total, 4**alpha * factorial(n) * factorial(2 * alpha)), 1)
+    return _odd_row(alpha, n)(n)
+
+
+def _even_poly(c: list[int], top: int) -> list[int]:
+    # With h = nu - 1/2 the polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)!
+    # is _binomial_sum(n, u, (2h)^2) over 4^n n!, u[t] = t! (nu-1-t)! c[nu-1-t], t < nu.
+    nu = len(c)
+    return [
+        factorial(t) * factorial(nu - 1 - t) * c[nu - 1 - t]
+        for t in range(min(nu - 1, top) + 1)
+    ]
 
 
 def heat_invariant_even(n: int, nu: int) -> ExactValue:
     """a_{n, 2*nu}: polynomial part plus Bernoulli correction.
 
-    With h = nu - 1/2 the polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)!
-    is an integer over 4^n n!.  The correction is empty when nu > n; its sign
-    convention makes this route agree with the general route exactly (the
-    ledger is opercalc.check_bernoulli_link).  With B_2p from T_(2p-1) and
+    The correction is empty when nu > n; its sign convention makes this route
+    agree with the general route exactly (the ledger is
+    opercalc.check_bernoulli_link).  With B_2p from T_(2p-1) and
     1/((n-t-p)! (p-nu+t)!) = C(n-nu, n-t-p)/(n-nu)!, each p is one integer sum.
+    `heat_invariant_row` regroups the same correction to share it along a row.
     """
     if n < 1 or nu < 1:
         raise ValueError(f"need n >= 1 and nu >= 1, got n={n}, nu={nu}")
     c = k_table_even(nu)
     q = (2 * nu - 1) ** 2  # (2h)^2
-    poly = sum(
-        factorial(nu - 1 - t) * math.perm(n, t) * q ** (n - t) * c[nu - 1 - t]
-        for t in range(min(nu, n + 1))
-    )
-    total = Fraction(poly, 4**n * factorial(n))
+    total = Fraction(_binomial_sum(n, _even_poly(c, n), q), 4**n * factorial(n))
     if n >= nu:
         m = n - nu
         # weights[j] = C(m, j) (2h)^(2j), where j = n - t - p
@@ -152,6 +177,41 @@ def heat_invariant_even(n: int, nu: int) -> ExactValue:
         sign = -1 if nu % 2 else 1
         total += sign * 2 * correction / (4**n * factorial(m))
     return ExactValue(total / factorial(2 * nu - 1), 0)
+
+
+def _even_correction(c: list[int], top: int) -> tuple[list[int], int]:
+    # The cell's correction regrouped by r = p + t, for every n <= top at once:
+    # F_p = L T_(2p-1) (2-4^p) / (4^p (4^p-1)) over the lcm L of those denominators,
+    # G_r = sum_t (-1)^t c[nu-1-t] F_(r-t) for r = nu..top.  Returns (G, L).
+    nu = len(c)
+    tangents = tangent_numbers(top)
+    fractions = [Fraction(tangents[p] * (2 - 4**p), 4**p * (4**p - 1)) for p in range(1, top + 1)]
+    lcm = math.lcm(*(f.denominator for f in fractions))
+    f_ints = [0] + [f.numerator * (lcm // f.denominator) for f in fractions]
+    signed_c = [-c[nu - 1 - t] if t % 2 else c[nu - 1 - t] for t in range(nu)]
+    g = [sum(ct * f_ints[r - t] for t, ct in enumerate(signed_c)) for r in range(nu, top + 1)]
+    return g, lcm
+
+
+def _even_row(nu: int, top: int) -> Callable[[int], ExactValue]:
+    # a_n 4^n n! (2nu-1)! is the polynomial part plus, for n >= nu,
+    # 2 sign n!/(n-nu)! / L * sum_r C(n-nu, r-nu) G_r q^(n-r), q = (2nu-1)^2:
+    # a second Cauchy product with e^(qt), of the series G.
+    c = k_table_even(nu)
+    q = (2 * nu - 1) ** 2
+    poly = _even_poly(c, top)
+    g, lcm = _even_correction(c, top) if top >= nu else ([], 1)
+    scale = factorial(2 * nu - 1)
+    sign = -1 if nu % 2 else 1
+
+    def value(n: int) -> ExactValue:
+        total = _binomial_sum(n, poly, q)
+        if n < nu:
+            return ExactValue(Fraction(total, 4**n * factorial(n) * scale), 0)
+        total = total * lcm + 2 * sign * math.perm(n, nu) * _binomial_sum(n - nu, g, q)
+        return ExactValue(Fraction(total, 4**n * factorial(n) * scale * lcm), 0)
+
+    return value
 
 
 def _closed_d2(n: int) -> Rational:
@@ -183,6 +243,15 @@ def heat_invariant_closed(n: int, d: int) -> ExactValue:
     return ExactValue(Fraction(3) ** (2 * n - 6) * poly / (640 * factorial(n)), 1)
 
 
+def _check_cell(n: int, d: int) -> None:
+    if isinstance(n, bool) or isinstance(d, bool):
+        raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+
+
 def heat_invariant(
     n: int, d: int, omega: int | None = None, formula: str = "auto"
 ) -> HeatInvariantResult:
@@ -192,12 +261,7 @@ def heat_invariant(
     precedence over both `omega` and `formula`.  An explicit omega under
     "auto" forces the general route; otherwise parity picks odd/even.
     """
-    if isinstance(n, bool) or isinstance(d, bool):
-        raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    _check_cell(n, d)
     if formula not in ("auto", "general", "odd", "even", "closed"):
         raise ValueError(f"unknown formula {formula!r}")
     if omega is not None and formula not in ("auto", "general"):
@@ -224,6 +288,36 @@ def heat_invariant(
         return HeatInvariantResult(n, d, None, "odd", value)
     value = heat_invariant_even(n, d // 2)
     return HeatInvariantResult(n, d, None, "even", value)
+
+
+def heat_invariant_row(ns: Iterable[int], d: int) -> list[HeatInvariantResult]:
+    """[heat_invariant(n, d) for n in ns], with the d-dependent work done once.
+
+    At fixed d both parity routes are a Cauchy product of e^(rho^2 t),
+    rho = (d-1)/2, with an n-independent series (Cahn-Wolf): the K-table,
+    that series and, for even d, the Bernoulli factors are built once up to
+    max(ns); then each requested n costs one Horner sum and one reduction.
+    Every n is validated before anything is computed.
+    """
+    ns = list(ns)
+    for n in ns:
+        _check_cell(n, d)
+    top = max(ns, default=0)
+    if top == 0:
+        row = None  # every n is the Weyl term
+    elif d == 1:
+        row = lambda n: ExactValue(Fraction(0))  # alpha = 0: an empty sum, as in heat_invariant
+    elif d % 2:
+        row = _odd_row((d - 1) // 2, top)
+    else:
+        row = _even_row(d // 2, top)
+    route = "odd" if d % 2 else "even"
+    return [
+        HeatInvariantResult(n, d, None, "weyl", weyl_leading_term(d))
+        if n == 0
+        else HeatInvariantResult(n, d, None, route, row(n))
+        for n in ns
+    ]
 
 
 def verify_crosscheck(

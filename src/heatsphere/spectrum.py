@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import ExactValue, factorial, gamma_half
@@ -33,18 +32,6 @@ def multiplicity(k: int, d: int) -> int:
     q, r = divmod(num, den)
     assert r == 0, (k, d)
     return q
-
-
-@dataclass(frozen=True)
-class SpectralDatum:
-    k: int
-    d: int
-    lam: int
-    mu: int
-
-    @classmethod
-    def of(cls, k: int, d: int) -> SpectralDatum:
-        return cls(k=k, d=d, lam=eigenvalue(k, d), mu=multiplicity(k, d))
 
 
 def sphere_volume(d: int) -> ExactValue:

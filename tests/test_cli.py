@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
-from heatsphere.cli import main
+import pytest
+
+from heatsphere.cli import _parse_range, _record_dict, main
 from heatsphere.invariants import heat_invariant
 
 
@@ -19,6 +22,7 @@ def test_compute_single_json(capsys):
     code, out, err = run_cli(capsys, "compute", "--n", "1", "--d", "3")
     assert code == 0 and err == ""
     record = json.loads(out)
+    assert record.pop("log10_abs") == pytest.approx(math.log10(0.443113462726379), abs=1e-14)
     assert record == {
         "n": 1,
         "d": 3,
@@ -55,6 +59,59 @@ def test_compute_csv_shape(capsys):
     assert len(rows) == 10
     # spot row: a(1, 2) = 1/3, even route, no omega (n is the outer loop)
     assert rows[4] == ["1", "2", "", "even", "1", "3", "0", "0.3333333333333333"]
+
+
+@pytest.mark.parametrize("n, d", [("5", "1..6"), ("0..3", "7..9"), ("0..6", "1..12")])
+def test_compute_prints_what_the_cell_path_prints(capsys, n, d):
+    code, out, _ = run_cli(capsys, "compute", "--n", n, "--d", d)
+    assert code == 0
+    expected = [
+        json.dumps(_record_dict(heat_invariant(n_, d_)))
+        for n_ in _parse_range(n)
+        for d_ in _parse_range(d)
+    ]
+    assert out.splitlines() == expected
+
+
+def test_compute_invalid_cell_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "compute", "--n", "0..3", "--d", "0..2")
+    assert code == 2 and out == ""
+    assert "dimension must be positive" in err
+
+
+def test_compute_magnitude_of_tiny_and_zero_values(capsys):
+    _, out, _ = run_cli(capsys, "compute", "--n", "1", "--d", "1001")
+    record = json.loads(out)
+    # a(1, 1001) underflows a double, but its magnitude survives
+    assert record["float_value"] == 0.0
+    assert record["log10_abs"] == pytest.approx(-1429.6455, abs=1e-4)
+    _, out, _ = run_cli(capsys, "compute", "--n", "6", "--d", "5")
+    record = json.loads(out)
+    assert record["value"]["num"] == "0" and record["log10_abs"] is None
+
+
+@pytest.mark.parametrize("n, d", [("300", "2"), ("400", "4")])
+def test_compute_beyond_double_range(n, d):
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "compute", "--n", n, "--d", d],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stdout.splitlines()
+    record = json.loads(line)
+    assert record["float_value"] is None
+    num, den = int(record["value"]["num"]), int(record["value"]["den"])
+    assert record["log10_abs"] == pytest.approx(math.log10(abs(num)) - math.log10(den))
+    assert record["log10_abs"] > 308
+
+
+def test_compute_csv_leaves_an_unrepresentable_float_empty(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--n", "295..296", "--d", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[-1] == "" for row in rows[1:]] == [False, True]
 
 
 def test_compute_with_omega_forces_general_route(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatsphere.exactnum import ExactValue
+from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
     _general_sum,
@@ -13,6 +14,7 @@ from heatsphere.invariants import (
     heat_invariant_even,
     heat_invariant_general,
     heat_invariant_odd,
+    heat_invariant_row,
     k_table_even,
     k_table_odd,
     verify_crosscheck,
@@ -231,3 +233,43 @@ def test_general_sum_big_cell_is_exact():
     value = heat_invariant_general(8, 11, 16)
     assert value == heat_invariant_odd(8, 5)
     assert value.pi_half == 1 and value.coeff != 0
+
+
+def test_row_matches_cells_exactly():
+    # d = 1 and d = 2 are edge rows; n < nu, n = nu and n > nu all occur
+    for d in range(1, 61):
+        assert heat_invariant_row(range(41), d) == [heat_invariant(n, d) for n in range(41)]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_tall_row_matches_cells(d):
+    assert heat_invariant_row(range(121), d) == [heat_invariant(n, d) for n in range(121)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 40, 61])
+def test_sparse_row_matches_cells(d):
+    ns = [31, 0, 7, 7]
+    assert heat_invariant_row(ns, d) == [heat_invariant(n, d) for n in ns]
+
+
+def test_row_validation():
+    assert heat_invariant_row([], 4) == []
+    assert heat_invariant_row([0, 0], 3) == [heat_invariant(0, 3)] * 2
+    for ns, d in (([1, -1], 3), ([1, 2], 0), ([1, True], 3), ([1, 2], True)):
+        with pytest.raises(ValueError):
+            heat_invariant_row(ns, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 40])
+def test_row_builds_its_k_table_once(d, monkeypatch, capsys):
+    from heatsphere.cli import main
+
+    built = []
+    for name in ("k_table_odd", "k_table_even"):
+        original = getattr(invariants, name)
+        monkeypatch.setattr(
+            invariants, name, lambda arg, original=original: built.append(arg) or original(arg)
+        )
+    assert main(["compute", "--n", "0..32", "--d", str(d)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 33
+    assert len(built) == (0 if d == 1 else 1)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from heatsphere.exactnum import ExactValue
 from heatsphere.spectrum import (
-    SpectralDatum,
     eigenvalue,
     multiplicity,
     sphere_volume,
@@ -18,12 +17,14 @@ def test_eigenvalue_values():
     assert eigenvalue(0, 9) == 0
     assert eigenvalue(2, 2) == 6
     assert eigenvalue(1, 3) == 3
+    assert eigenvalue(2, 3) == 8
 
 
 def test_multiplicity_values():
     assert multiplicity(0, 7) == 1
     assert multiplicity(1, 3) == 4
     assert multiplicity(2, 2) == 5
+    assert multiplicity(2, 3) == 9
 
 
 def test_dimension_validation():
@@ -50,11 +51,6 @@ def test_low_dimension_closed_forms():
 def test_multiplicity_positive_integer(k, d):
     mu = multiplicity(k, d)
     assert isinstance(mu, int) and mu >= 1
-
-
-def test_spectral_datum():
-    datum = SpectralDatum.of(2, 3)
-    assert (datum.lam, datum.mu) == (8, 9)
 
 
 def test_sphere_volumes():
