@@ -1,35 +1,21 @@
 #!/usr/bin/env python3
 """Run every exact verification sweep plus the numeric cross-checks.
 
-One line per suite; exits nonzero if anything fails.  This is the long
-version of `heatsphere verify <target>` with all targets at full size.
+One line per suite; exits nonzero if anything fails.  This is
+`heatsphere verify <target>` for every target in `heatsphere.cli.SUITES`,
+each at its default box.
 """
 
 import sys
 import time
 
 from heatsphere.asymptotics import remainder_order
-from heatsphere.identities import verify_identity
-from heatsphere.invariants import verify_crosscheck, verify_omega_stability, verify_sharpness
-from heatsphere.legendre import verify_expansion
-from heatsphere.opercalc import check_bernoulli_link, verify_lemmas
+from heatsphere.cli import SUITES
 
 
 def main() -> int:
-    suites = [
-        ("s1", lambda: verify_identity("s1")),
-        ("s1g", lambda: verify_identity("s1g")),
-        ("s3", lambda: verify_identity("s3")),
-        ("vychet", lambda: verify_identity("vychet")),
-        ("lemmas", lambda: verify_lemmas(t_max=4, s_max=3, slack=3)),
-        ("bernoulli-link", lambda: check_bernoulli_link(8)),
-        ("legendre", lambda: verify_expansion(j_max=4, d_range=(2, 5))),
-        ("crosscheck", lambda: verify_crosscheck((1, 8), (2, 11))),
-        ("omega-stability", lambda: verify_omega_stability((1, 6), (1, 8))),
-        ("sharpness", verify_sharpness),
-    ]
     failures = 0
-    for name, runner in suites:
+    for name, (runner, _) in SUITES.items():
         start = time.perf_counter()
         report = runner()
         elapsed = time.perf_counter() - start

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -19,34 +20,27 @@ from . import asymptotics, identities, invariants, legendre, opercalc
 from .exactnum import ExactValue
 from .verification import VerificationReport
 
-_VERIFY_TARGETS = (
-    "s1",
-    "s1g",
-    "s3",
-    "vychet",
-    "lemmas",
-    "bernoulli-link",
-    "legendre",
-    "crosscheck",
-    "omega-stability",
-    "sharpness",
-)
-
 CSV_HEADER = ["n", "d", "omega", "route", "num", "den", "pi_half", "float"]
 
 
-def _parse_range(text: str) -> list[int]:
-    """"3" -> [3]; "1..8" -> [1, 2, ..., 8]."""
+def _parse_span(text: str) -> tuple[int, int]:
+    """"3" -> (3, 3); "1..8" -> (1, 8)."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return (lo, hi)
+        return (int(text), int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected INT or LO..HI, got {text!r}") from None
+
+
+def _parse_range(text: str) -> list[int]:
+    """"3" -> [3]; "1..8" -> [1, 2, ..., 8]."""
+    lo, hi = _parse_span(text)
+    return list(range(lo, hi + 1))
 
 
 def _parse_rationals(text: str) -> list[Fraction]:
@@ -137,49 +131,41 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _span(values: list[int]) -> tuple[int, int]:
-    return (min(values), max(values))
+# verify target -> (runner, the flags it takes).  Each flag is passed as the
+# runner keyword of the same name, and only when given, so a default box is
+# written once: in the runner's signature.  Runners look their sweep up on
+# its module when called, so a function replaced there (by a tracer, say) is
+# the one that runs.
+SUITES = {
+    "s1": (lambda **box: identities.verify_identity("s1", box), ("n", "offset")),
+    "s1g": (lambda **box: identities.verify_identity("s1g", box), ("n", "offset", "x")),
+    "s3": (lambda **box: identities.verify_identity("s3", box), ("n", "offset")),
+    "vychet": (lambda **box: identities.verify_identity("vychet", box), ("j_max",)),
+    "lemmas": (lambda **kw: opercalc.verify_lemmas(**kw), ("t_max", "s_max", "slack")),
+    "bernoulli-link": (lambda **kw: opercalc.check_bernoulli_link(**kw), ("t_max",)),
+    "legendre": (lambda **kw: legendre.verify_expansion(**kw), ("j_max", "d")),
+    "crosscheck": (lambda **kw: invariants.verify_crosscheck(**kw), ("n", "d")),
+    "omega-stability": (lambda **kw: invariants.verify_omega_stability(**kw), ("n", "d")),
+    "sharpness": (lambda: invariants.verify_sharpness(), ()),
+}
+
+# the verify arguments that are not part of a sweep's box
+_NOT_BOX = ("command", "func", "target", "format")
 
 
 def _run_verify(args: argparse.Namespace) -> VerificationReport:
-    target = args.target
-    if target in ("s1", "s1g", "s3"):
-        box: dict = {}
-        if args.n is not None:
-            box["n"] = _span(args.n)
-        if args.offset is not None:
-            box["offset"] = _span(args.offset)
-        if target == "s1g" and args.x is not None:
-            box["x"] = args.x
-        return identities.verify_identity(target, box)
-    if target == "vychet":
-        box = {}
-        if args.j_max is not None:
-            box["j_max"] = args.j_max
-        return identities.verify_identity(target, box)
-    if target == "lemmas":
-        return opercalc.verify_lemmas(
-            t_max=4 if args.t_max is None else args.t_max,
-            s_max=3 if args.s_max is None else args.s_max,
-            slack=3 if args.slack is None else args.slack,
-        )
-    if target == "bernoulli-link":
-        return opercalc.check_bernoulli_link(8 if args.t_max is None else args.t_max)
-    if target == "legendre":
-        return legendre.verify_expansion(
-            j_max=4 if args.j_max is None else args.j_max,
-            d_range=_span(args.d or [2, 5]),
-        )
-    if target == "crosscheck":
-        return invariants.verify_crosscheck(_span(args.n or [1, 8]), _span(args.d or [2, 11]))
-    if target == "omega-stability":
-        return invariants.verify_omega_stability(_span(args.n or [1, 6]), _span(args.d or [1, 8]))
-    assert target == "sharpness"
-    return invariants.verify_sharpness()
+    runner, takes = SUITES[args.target]
+    box = {k: v for k, v in vars(args).items() if v is not None and k not in _NOT_BOX}
+    unknown = [f"--{flag.replace('_', '-')}" for flag in box if flag not in takes]
+    if unknown:
+        raise ValueError(f"verify {args.target} does not take {', '.join(unknown)}")
+    return runner(**box)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = _run_verify(args)
+    if report.points_checked == 0:
+        raise ValueError(f"verify {args.target}: the box holds no points")
     if args.format == "json":
         print(json.dumps(report.as_dict()))
     else:
@@ -195,6 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_asympt(args: argparse.Namespace) -> int:
+    if not 0 <= args.max_dev < math.inf:
+        raise ValueError(f"--max-dev must be finite and >= 0, got {args.max_dev}")
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
     print(
         json.dumps(
@@ -214,6 +202,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatsphere",
@@ -234,12 +223,12 @@ def _parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=cmd_compute)
 
     verify = sub.add_parser("verify", help="run an exact verification sweep")
-    verify.add_argument("target", choices=_VERIFY_TARGETS)
-    verify.add_argument("--n", type=_parse_range, default=None, metavar="INT|LO..HI")
-    verify.add_argument("--d", type=_parse_range, default=None, metavar="INT|LO..HI")
+    verify.add_argument("target", choices=list(SUITES))
+    verify.add_argument("--n", type=_parse_span, default=None, metavar="INT|LO..HI")
+    verify.add_argument("--d", type=_parse_span, default=None, metavar="INT|LO..HI")
     verify.add_argument(
         "--offset",
-        type=_parse_range,
+        type=_parse_span,
         default=None,
         metavar="INT|LO..HI",
         help="omega = 2n + offset (negative offsets probe below the bound)",

@@ -321,11 +321,10 @@ def heat_invariant_row(ns: Iterable[int], d: int) -> list[HeatInvariantResult]:
 
 
 def verify_crosscheck(
-    n_range: tuple[int, int] = (1, 8), d_range: tuple[int, int] = (2, 11)
+    n: tuple[int, int] = (1, 8), d: tuple[int, int] = (2, 11)
 ) -> VerificationReport:
     """General route at omega = 2n against the parity route, cell by cell."""
-    n_lo, n_hi = n_range
-    d_lo, d_hi = d_range
+    (n_lo, n_hi), (d_lo, d_hi) = n, d
     report = VerificationReport(
         "crosscheck", [("n", f"{n_lo}..{n_hi}"), ("d", f"{d_lo}..{d_hi}")]
     )
@@ -338,11 +337,10 @@ def verify_crosscheck(
 
 
 def verify_omega_stability(
-    n_range: tuple[int, int] = (1, 6), d_range: tuple[int, int] = (1, 8)
+    n: tuple[int, int] = (1, 6), d: tuple[int, int] = (1, 8)
 ) -> VerificationReport:
     """Value must not move anywhere on omega in [2n, 3n+4]."""
-    n_lo, n_hi = n_range
-    d_lo, d_hi = d_range
+    (n_lo, n_hi), (d_lo, d_hi) = n, d
     report = VerificationReport(
         "omega-stability",
         [("n", f"{n_lo}..{n_hi}"), ("d", f"{d_lo}..{d_hi}"), ("omega", "2n..3n+4")],

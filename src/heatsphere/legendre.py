@@ -174,17 +174,14 @@ def norm_squared(k: int, d: int) -> ExactValue:
     return weighted_integral(q * q, d)
 
 
-def verify_expansion(j_max: int = 4, d_range: tuple[int, int] = (2, 5)) -> VerificationReport:
+def verify_expansion(j_max: int = 4, d: tuple[int, int] = (2, 5)) -> VerificationReport:
     """Reconstruction and closed-form sweep over 0 <= k <= j <= j_max.
 
     Checks that sum_k c_{jk} L_{k,d} rebuilds (1 - t)^j exactly and that
     the closed form reproduces the brute-force coefficients.
     """
-    d_lo, d_hi = d_range
-    report = VerificationReport(
-        "legendre-expansion",
-        [("j", f"0..{j_max}"), ("d", f"{d_lo}..{d_hi}")],
-    )
+    d_lo, d_hi = d
+    report = VerificationReport("legendre", [("j", f"0..{j_max}"), ("d", f"{d_lo}..{d_hi}")])
     for d in range(d_lo, d_hi + 1):
         for j in range(j_max + 1):
             coeffs = [expansion_coeff(j, k, d) for k in range(j + 1)]

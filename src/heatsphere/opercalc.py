@@ -178,7 +178,7 @@ def check_euler_transform(a, b, c, z) -> bool:
     return lhs == rhs
 
 
-def check_bernoulli_link(t_max: int) -> VerificationReport:
+def check_bernoulli_link(t_max: int = 8) -> VerificationReport:
     """(2t)! times the D^(2t) coefficient of 1/P against Bernoulli numbers.
 
     With 1/P the multiplicative inverse the exact statement is

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from heatsphere.cli import _parse_range, _record_dict, main
+from heatsphere.cli import SUITES, _parse_range, _parser, _record_dict, main
 from heatsphere.invariants import heat_invariant
 
 
@@ -181,9 +181,37 @@ def test_verify_each_target_runs(capsys):
         ("omega-stability", "--n", "1..2", "--d", "1..4"),
         ("sharpness",),
     ]
+    assert {case[0] for case in cases} == set(SUITES)
     for case in cases:
         code, out, err = run_cli(capsys, "verify", *case)
         assert code == 0, f"{case[0]} failed: {out}{err}"
+        assert out.startswith(f"PASS {case[0]}:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sharpness", "--n", "3"), "--n"),
+        (("lemmas", "--n", "2"), "--n"),
+        (("s1", "--x", "1"), "--x"),
+        (("vychet", "--n", "1"), "--n"),
+        (("crosscheck", "--j-max", "2"), "--j-max"),
+    ],
+)
+def test_verify_flag_the_target_does_not_take_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"does not take {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lemmas", "--t-max", "-1"), ("vychet", "--j-max", "-3"), ("legendre", "--j-max", "-1")],
+)
+def test_verify_empty_box_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "no points" in err
 
 
 def test_verify_unknown_target_is_usage_error(capsys):
@@ -211,6 +239,13 @@ def test_asympt_impossible_deviation_fails(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("max_dev", ["nan", "inf", "-inf", "-0.1"])
+def test_asympt_max_dev_must_be_finite_and_nonnegative(capsys, max_dev):
+    code, out, err = run_cli(capsys, "asympt", "--d", "3", "--n-terms", "3", f"--max-dev={max_dev}")
+    assert code == 2 and out == ""
+    assert "--max-dev" in err
+
+
 def test_asympt_bad_t0_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "asympt", "--d", "2", "--n-terms", "2", "--t0", "1.5")
     assert code == 2 and "error:" in err
@@ -232,6 +267,21 @@ def test_asympt_high_dimension_prints_a_verdict():
     assert "Traceback" not in proc.stderr
     (line,) = proc.stdout.splitlines()
     assert json.loads(line)["d"] == 200
+
+
+def test_one_process_runs_commands_back_to_back(capsys):
+    # the parser is built once per process; no call may see another's flags
+    assert _parser() is _parser()
+    code, out, _ = run_cli(capsys, "compute", "--n", "1", "--d", "3")
+    assert code == 0 and json.loads(out)["value"] == {"num": "1", "den": "4", "pi_half": 1}
+    code, out, _ = run_cli(capsys, "verify", "s1", "--n", "1..2", "--offset", "0")
+    assert code == 0 and out.startswith("PASS s1: 4 points (n in 1..2, omega in 2n+0..2n+0)")
+    code, out, _ = run_cli(capsys, "asympt", "--d", "3", "--n-terms", "3")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out, _ = run_cli(capsys, "verify", "s1")
+    assert code == 0 and out.startswith("PASS s1: 50 points (n in 1..5, omega in 2n+0..2n+4)")
+    code, out, _ = run_cli(capsys, "compute", "--n", "0..1", "--d", "2", "--format", "csv")
+    assert code == 0 and out.splitlines()[2].startswith("1,2,,even,1,3,")
 
 
 def test_module_entry_point():

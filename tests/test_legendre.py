@@ -140,7 +140,7 @@ def test_closed_form_validation():
 
 
 def test_verify_expansion_report():
-    report = verify_expansion(j_max=3, d_range=(2, 4))
+    report = verify_expansion(j_max=3, d=(2, 4))
     assert report.passed
     assert report.points_checked > 0
     assert any("ratio 1" in note for note in report.notes)
