@@ -4,6 +4,8 @@ Everything downstream of this module is computed over arbitrary-precision
 rationals.  Values carrying a half-integer power of pi are wrapped in
 :class:`ExactValue`, which tracks the exponent separately so that no
 irrational quantity is ever rounded before the caller asks for a float.
+:class:`Polynomial` is the one exact polynomial type; a truncated power
+series is a polynomial whose products drop every degree above an order.
 """
 
 from __future__ import annotations
@@ -94,7 +96,85 @@ class ExactValue:
         return f"{self.coeff}*{tag}"
 
 
-EXACT_ZERO = ExactValue(Fraction(0))
+@dataclass(frozen=True)
+class Polynomial:
+    """Polynomial with Fraction coefficients, index = degree, no trailing zeros.
+
+    `times` and `power` drop every degree above `order` when one is given,
+    which is all a truncated power series needs.
+    """
+
+    coefficients: tuple[Rational, ...]
+
+    @staticmethod
+    def from_coefficients(coeffs) -> Polynomial:
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        return Polynomial(tuple(cs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1  # -1 for the zero polynomial
+
+    def coefficient(self, i: int) -> Rational:
+        return self.coefficients[i] if i < len(self.coefficients) else Fraction(0)
+
+    def evaluate(self, x: Rational | int) -> Rational:
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+    def __add__(self, other: Polynomial) -> Polynomial:
+        n = max(len(self.coefficients), len(other.coefficients))
+        return Polynomial.from_coefficients(
+            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
+        )
+
+    def __sub__(self, other: Polynomial) -> Polynomial:
+        return self + other * -1
+
+    def __mul__(self, other: Polynomial | Rational | int) -> Polynomial:
+        if isinstance(other, Polynomial):
+            return self.times(other)
+        c = Fraction(other)
+        return Polynomial(tuple(a * c for a in self.coefficients) if c else ())
+
+    __rmul__ = __mul__
+
+    def times(self, other: Polynomial, order: int | None = None) -> Polynomial:
+        """The product, without the degrees above `order` when one is given."""
+        a, b = self.coefficients, other.coefficients
+        top = len(a) + len(b) - 2
+        if order is not None:
+            if order < 0:
+                raise ValueError(f"order must be nonnegative, got {order}")
+            top = min(top, order)
+        out = [Fraction(0)] * (top + 1)
+        for i, x in enumerate(a[: top + 1]):
+            if x:
+                for j, y in enumerate(b[: top + 1 - i]):
+                    if y:
+                        out[i + j] += x * y
+        while out and not out[-1]:
+            out.pop()
+        return Polynomial(tuple(out))
+
+    def power(self, m: int, order: int | None = None) -> Polynomial:
+        """self^m by repeated squaring, each product cut at `order`."""
+        if m < 0 or (order is not None and order < 0):
+            raise ValueError(f"need power m >= 0 and order >= 0, got m={m}, order={order}")
+        acc, base = Polynomial((Fraction(1),)), self
+        while m:
+            if m & 1:
+                acc = acc.times(base, order)
+            m >>= 1
+            if m:
+                base = base.times(base, order)
+        return acc
+
+    __pow__ = power
 
 
 def factorial(m: int) -> int:

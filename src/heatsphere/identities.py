@@ -120,8 +120,7 @@ def verify_identity(name: str, box: dict | None = None) -> VerificationReport:
     """
     box = dict(box or {})
     if name == "s1":
-        n_lo, n_hi = box.pop("n", (1, 5))
-        off_lo, off_hi = box.pop("offset", (0, 4))
+        n_lo, n_hi, off_lo, off_hi = _omega_box(box, (0, 4))
         _reject_leftovers(name, box)
         report = VerificationReport(
             "s1", [("n", f"{n_lo}..{n_hi}"), ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}")]
@@ -143,8 +142,7 @@ def verify_identity(name: str, box: dict | None = None) -> VerificationReport:
         report.notes.append("symmetrized x = 0 sum checked against twice the one-sided sum")
         return report
     if name == "s1g":
-        n_lo, n_hi = box.pop("n", (1, 5))
-        off_lo, off_hi = box.pop("offset", (0, 4))
+        n_lo, n_hi, off_lo, off_hi = _omega_box(box, (0, 4))
         xs = tuple(Fraction(x) for x in box.pop("x", _X_DEFAULT))
         _reject_leftovers(name, box)
         report = VerificationReport(
@@ -165,8 +163,7 @@ def verify_identity(name: str, box: dict | None = None) -> VerificationReport:
                                   s1_sum(n, omega, x), Fraction(0))
         return report
     if name == "s3":
-        n_lo, n_hi = box.pop("n", (1, 5))
-        off_lo, off_hi = box.pop("offset", (0, 3))
+        n_lo, n_hi, off_lo, off_hi = _omega_box(box, (0, 3))
         _reject_leftovers(name, box)
         report = VerificationReport(
             "s3", [("n", f"{n_lo}..{n_hi}"), ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}")]
@@ -188,6 +185,14 @@ def verify_identity(name: str, box: dict | None = None) -> VerificationReport:
             report.record({"j": j, "s": 2 * j}, alternating_power_sum(j, 2 * j), factorial(2 * j))
         return report
     raise ValueError(f"unknown identity {name!r}; expected s1, s1g, s3 or vychet")
+
+
+def _omega_box(box: dict, offset: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Pop n and offset; the n range is checked before any point is evaluated."""
+    n_lo, n_hi = box.pop("n", (1, 5))
+    if n_lo < 1:
+        raise ValueError(f"need n >= 1, got {n_lo}..{n_hi}")
+    return n_lo, n_hi, *box.pop("offset", offset)
 
 
 def _reject_leftovers(name: str, box: dict) -> None:

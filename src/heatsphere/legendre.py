@@ -1,88 +1,25 @@
 """Exact Legendre/Gegenbauer polynomial algebra on [-1, 1].
 
-The weight is (1 - t^2)^((d-2)/2) and polynomials are normalized to value 1
-at t = 1.  Expansion coefficients of (1 - t)^j in this basis are computed
-twice: by brute-force integration (the ground truth) and by the closed
-product formula; `verify_expansion` checks the two against each other and
-against reconstruction of (1 - t)^j itself.
+The weight is (1 - t^2)^((d-2)/2) and polynomials in t are
+`exactnum.Polynomial`s normalized to value 1 at t = 1.  Expansion
+coefficients of (1 - t)^j in this basis are computed twice: by brute-force
+integration (the ground truth) and by the closed product formula;
+`verify_expansion` checks the two against each other and against
+reconstruction of (1 - t)^j itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ExactValue, Rational, factorial, gamma_half
+from .exactnum import ExactValue, Polynomial, Rational, factorial, gamma_half
 from .spectrum import multiplicity, sphere_volume
 from .verification import VerificationReport
 
-
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Polynomial in t with Fraction coefficients, index = degree."""
-
-    coefficients: tuple[Rational, ...]
-
-    @staticmethod
-    def from_coefficients(coeffs) -> RationalPolynomial:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RationalPolynomial(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1  # -1 for the zero polynomial
-
-    def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
-        n = max(len(self.coefficients), len(other.coefficients))
-        return RationalPolynomial.from_coefficients(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
-    def __neg__(self) -> RationalPolynomial:
-        return RationalPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other: RationalPolynomial | Rational | int) -> RationalPolynomial:
-        if not isinstance(other, RationalPolynomial):
-            return RationalPolynomial.from_coefficients(
-                [c * other for c in self.coefficients]
-            )
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial.from_coefficients(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> RationalPolynomial:
-        if m < 0:
-            raise ValueError("negative polynomial power")
-        acc = ONE_POLY
-        for _ in range(m):
-            acc = acc * self
-        return acc
-
-    def coefficient(self, i: int) -> Rational:
-        return self.coefficients[i] if i < len(self.coefficients) else Fraction(0)
-
-    def evaluate(self, x: Rational | int) -> Rational:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-ZERO_POLY = RationalPolynomial(())
-ONE_POLY = RationalPolynomial((Fraction(1),))
-ONE_MINUS_T = RationalPolynomial((Fraction(1), Fraction(-1)))
+ZERO_POLY = Polynomial(())
+ONE_POLY = Polynomial((Fraction(1),))
+ONE_MINUS_T = Polynomial((Fraction(1), Fraction(-1)))
 
 
 def weighted_moment(m: int, d: int) -> ExactValue:
@@ -100,7 +37,7 @@ def weighted_moment(m: int, d: int) -> ExactValue:
     return gamma_half(m + 1) * gamma_half(d) / gamma_half(m + 1 + d)
 
 
-def weighted_integral(p: RationalPolynomial, d: int) -> ExactValue:
+def weighted_integral(p: Polynomial, d: int) -> ExactValue:
     total = ExactValue(Fraction(0))
     for i, c in enumerate(p.coefficients):
         if c != 0:
@@ -109,7 +46,7 @@ def weighted_integral(p: RationalPolynomial, d: int) -> ExactValue:
 
 
 @lru_cache(maxsize=None)
-def gegenbauer_poly(k: int, d: int) -> RationalPolynomial:
+def gegenbauer_poly(k: int, d: int) -> Polynomial:
     """Degree-k polynomial orthogonal to all lower degrees, value 1 at t = 1.
 
     Built by Gram-Schmidt on the monomial basis against the exact weighted
@@ -121,7 +58,7 @@ def gegenbauer_poly(k: int, d: int) -> RationalPolynomial:
         raise ValueError(f"weight needs d >= 2, got {d}")
     if k == 0:
         return ONE_POLY
-    monomial = RationalPolynomial(tuple([Fraction(0)] * k + [Fraction(1)]))
+    monomial = Polynomial(tuple([Fraction(0)] * k + [Fraction(1)]))
     p = monomial
     for i in range(k):
         q = gegenbauer_poly(i, d)

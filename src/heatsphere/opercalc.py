@@ -1,11 +1,13 @@
-"""Truncated power series in the differentiation symbol D.
+"""Power series in the differentiation symbol D, as truncated polynomials.
 
 The series P(D) = 2 sinh(D/2) / D drives everything: its even coefficients
 are 1/(4^i (2i+1)!), its powers act on monomials through
 `apply_to_monomial`, and its multiplicative inverse carries the Bernoulli
-numbers.  `terminating_2f1` evaluates hypergeometric sums whose argument
-may itself be a truncated series, which is how the vanishing mechanism
-(1 - P(D)^2)^(omega-n+1) = O(D^(2omega-2n+2)) gets exercised literally.
+numbers.  A series is an `exactnum.Polynomial` cut at an order that each
+truncating call takes as an argument.  `terminating_2f1` evaluates
+hypergeometric sums whose argument may itself be a polynomial in D, which is
+how the vanishing mechanism (1 - P(D)^2)^(omega-n+1) = O(D^(2omega-2n+2))
+gets exercised literally.
 
 Sign convention: "1/P" in this module always means the multiplicative
 inverse.  The alternative normalization D/(e^(-D/2) - e^(D/2)) is its
@@ -15,124 +17,46 @@ under each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rational, bernoulli, factorial, pochhammer, reciprocal_factorial
+from .exactnum import Polynomial, Rational, bernoulli, factorial, pochhammer, reciprocal_factorial
 from .verification import VerificationReport
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Polynomial in D modulo D^(order+1); coefficient i belongs to D^i."""
-
-    order: int
-    coefficients: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficients, got {len(self.coefficients)}"
-            )
-
-    @staticmethod
-    def from_coefficients(coeffs, order: int) -> TruncatedSeries:
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return TruncatedSeries(order, tuple(cs))
-
-    @staticmethod
-    def constant(c, order: int) -> TruncatedSeries:
-        return TruncatedSeries.from_coefficients([Fraction(c)], order)
-
-    @staticmethod
-    def one(order: int) -> TruncatedSeries:
-        return TruncatedSeries.constant(1, order)
-
-    def _matched(self, other: TruncatedSeries) -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._matched(other)
-        return TruncatedSeries(
-            self.order,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.order, tuple(-a for a in self.coefficients))
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __mul__(self, other: TruncatedSeries | Rational | int) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            c = Fraction(other)
-            return TruncatedSeries(self.order, tuple(a * c for a in self.coefficients))
-        self._matched(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coefficients[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(self.order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> TruncatedSeries:
-        if m < 0:
-            raise ValueError("negative series power; use invert_series first")
-        acc = TruncatedSeries.one(self.order)
-        base = self
-        while m:
-            if m & 1:
-                acc = acc * base
-            m >>= 1
-            if m:
-                base = base * base
-        return acc
-
-
-def p_series(order: int) -> TruncatedSeries:
-    """2 sinh(D/2) / D truncated: coefficient of D^(2i) is 1/(4^i (2i+1)!)."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for i in range(0, order // 2 + 1):
+def p_series(order: int) -> Polynomial:
+    """2 sinh(D/2) / D up to D^order: coefficient of D^(2i) is 1/(4^i (2i+1)!)."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    coeffs = [Fraction(0)] * (order // 2 * 2 + 1)
+    for i in range(order // 2 + 1):
         coeffs[2 * i] = Fraction(1, 4**i * factorial(2 * i + 1))
-    return TruncatedSeries(order, tuple(coeffs))
+    return Polynomial(tuple(coeffs))
 
 
-def invert_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse by long division; needs a nonzero constant term."""
-    a0 = s.coefficients[0]
+def invert_series(s: Polynomial, order: int) -> Polynomial:
+    """Inverse up to D^order by long division; needs a nonzero constant term."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    a0 = s.coefficient(0)
     if a0 == 0:
         raise ValueError("series with zero constant term has no inverse")
-    out = [Fraction(1) / a0]
-    for m in range(1, s.order + 1):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            acc += s.coefficients[i] * out[m - i]
-        out.append(-acc / a0)
-    return TruncatedSeries(s.order, tuple(out))
+    out = [1 / a0]
+    for m in range(1, order + 1):
+        out.append(-sum(c * out[m - i] for i, c in enumerate(s.coefficients[1 : m + 1], 1)) / a0)
+    return Polynomial.from_coefficients(out)
 
 
-def apply_to_monomial(s: TruncatedSeries, m: int) -> Rational:
+def apply_to_monomial(s: Polynomial, m: int) -> Rational:
     """(s(D) x^m) evaluated at x = 0, i.e. m! times the D^m coefficient."""
     if m < 0:
         raise ValueError(f"monomial degree must be nonnegative, got {m}")
-    if m > s.order:
-        raise ValueError(f"degree {m} exceeds truncation order {s.order}")
-    return factorial(m) * s.coefficients[m]
+    return factorial(m) * s.coefficient(m)
 
 
 def terminating_2f1(a, b, c, z):
-    """Finite hypergeometric sum; z may be a Rational or a TruncatedSeries.
+    """Finite hypergeometric sum; z may be a Rational or a Polynomial.
 
+    Exact in both cases, with no truncation: the sum is a polynomial in z.
     Terminates because a or b is a nonpositive integer.  A nonpositive
     integer c reached before termination is a pole and is rejected.
     """
@@ -141,11 +65,9 @@ def terminating_2f1(a, b, c, z):
     if not stops:
         raise ValueError("neither a nor b is a nonpositive integer: series does not terminate")
     m_max = min(stops)
-    series = isinstance(z, TruncatedSeries)
-    if not series:
+    if not isinstance(z, Polynomial):
         z = Fraction(z)
-    term = TruncatedSeries.one(z.order) if series else Fraction(1)
-    total = term
+    total = term = z**0  # 1, in the type of z
     for m in range(m_max):
         if c + m == 0:
             raise ValueError(f"pochhammer pole: c={c} hits zero at step {m}")
@@ -189,9 +111,9 @@ def check_bernoulli_link(t_max: int = 8) -> VerificationReport:
     if t_max < 1:
         raise ValueError(f"t_max must be positive, got {t_max}")
     report = VerificationReport("bernoulli-link", [("t", f"1..{t_max}")])
-    inverse = invert_series(p_series(2 * t_max))
+    inverse = invert_series(p_series(2 * t_max), 2 * t_max)
     for t in range(1, t_max + 1):
-        computed = factorial(2 * t) * inverse.coefficients[2 * t]
+        computed = factorial(2 * t) * inverse.coefficient(2 * t)
         b = bernoulli(2 * t)
         expected = 2 * (b / 4**t - b / 2)
         report.record({"t": t}, computed, expected)
@@ -220,55 +142,37 @@ def check_lemma(which: str, t: int, s: int, omega_prime: int) -> bool:
         raise ValueError(f"need s >= 0, got {s}")
     if omega_prime < 0:
         raise ValueError(f"need omega_prime >= 0, got {omega_prime}")
-    if which == "ff1_bb" and t < 1:
-        raise ValueError(f"ff1_bb needs t >= 1, got {t}")
-    if which == "ff2_e2" and t < 0:
-        raise ValueError(f"ff2_e2 needs t >= 0, got {t}")
+    e = 0 if which == "ff1_bb" else 1  # the sum runs over P^(2j+e)
+    if t < 1 - e:
+        raise ValueError(f"{which} needs t >= {1 - e}, got {t}")
 
-    order = 2 * t + 2  # highest monomial degree touched
+    # only the D^(2t) coefficient is read, so every product stops there
+    order = 2 * t
     p = p_series(order)
-    p_squared = p * p
-
-    if which == "ff1_bb":
-        total = Fraction(0)
-        power = TruncatedSeries.one(order)  # P^(2j)
-        for j in range(omega_prime + 1):
-            if j:
-                power = power * p_squared
-            weight = (
-                reciprocal_factorial(omega_prime - j)
-                * reciprocal_factorial(j + t - s)
-                * reciprocal_factorial(2 * j + 1)
-                * factorial(2 * j + 2 * t)
-            )
-            if weight == 0:
-                continue
-            value = weight * apply_to_monomial(power, 2 * t)
-            total += -value if j % 2 else value
-        return total == 0
-
-    lhs = Fraction(0)
-    power = p  # P^(2j+1)
+    p_squared = p.times(p, order)
+    total = Fraction(0)
+    power = p.power(e)
     for j in range(omega_prime + 1):
         if j:
-            power = power * p_squared
+            power = power.times(p_squared, order)
         weight = (
             reciprocal_factorial(omega_prime - j)
             * reciprocal_factorial(j + t - s)
-            * reciprocal_factorial(2 * j + 2)
-            * factorial(2 * j + 2 * t + 1)
+            * reciprocal_factorial(2 * j + 1 + e)
+            * factorial(2 * j + 2 * t + e)
         )
         if weight == 0:
             continue
         value = weight * apply_to_monomial(power, 2 * t)
-        lhs += -value if j % 2 else value
-    rhs = (
+        total += -value if j % 2 else value
+    if which == "ff1_bb":
+        return total == 0
+    return total == (
         factorial(2 * t)
         * pochhammer(t - s, s)
         / (2 * factorial(omega_prime + 1) * factorial(t))
-        * apply_to_monomial(invert_series(p), 2 * t)
+        * apply_to_monomial(invert_series(p, order), 2 * t)
     )
-    return lhs == rhs
 
 
 def verify_lemmas(

@@ -214,6 +214,20 @@ def test_verify_empty_box_is_usage_error(capsys, argv):
     assert "no points" in err
 
 
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (("s1", "--n=-3..-1"), "-3..-1"),
+        (("s1g", "--n=-1..2", "--offset=0..0"), "-1..2"),
+        (("s3", "--n=0..2", "--offset=-1..0"), "0..2"),
+    ],
+)
+def test_verify_n_below_one_names_the_given_range(capsys, argv, span):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"need n >= 1, got {span}" in err
+
+
 def test_verify_unknown_target_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "s2")
     assert code == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from heatsphere import exactnum
 from heatsphere.exactnum import (
     ExactValue,
+    Polynomial,
     bernoulli,
     binomial,
     factorial,
@@ -207,3 +208,27 @@ def test_str_rendering():
     assert str(ExactValue(Fraction(1, 4), 1)) == "1/4*sqrt(pi)"
     assert str(ExactValue(Fraction(2), 2)) == "2*pi"
     assert str(ExactValue(Fraction(0), 0)) == "0"
+
+
+polynomials = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=8), max_size=6
+).map(Polynomial.from_coefficients)
+
+
+def cut(p, order):
+    return Polynomial.from_coefficients(p.coefficients[: order + 1])
+
+
+@given(polynomials, polynomials, st.integers(min_value=0, max_value=12), rationals)
+def test_times_is_the_product_without_the_degrees_above_order(a, b, order, x):
+    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+    assert a.times(b, order) == cut(a * b, order)
+
+
+@given(polynomials, st.integers(min_value=0, max_value=5),
+       st.none() | st.integers(min_value=0, max_value=12))
+def test_power_is_repeated_truncated_product(a, m, order):
+    acc = Polynomial((Fraction(1),))
+    for _ in range(m):
+        acc = acc.times(a, order)
+    assert a.power(m, order) == acc

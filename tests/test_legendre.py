@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from heatsphere.exactnum import ExactValue
+from heatsphere.exactnum import ExactValue, Polynomial
 from heatsphere.legendre import (
     ONE_MINUS_T,
-    RationalPolynomial,
     ZERO_POLY,
     expansion_coeff,
     expansion_coeff_closed,
@@ -19,7 +18,7 @@ from heatsphere.spectrum import multiplicity, sphere_volume
 
 
 def poly(*coeffs):
-    return RationalPolynomial.from_coefficients(coeffs)
+    return Polynomial.from_coefficients(coeffs)
 
 
 def test_polynomial_ring_basics():

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import factorial
+from heatsphere.exactnum import Polynomial, factorial
 from heatsphere.opercalc import (
-    TruncatedSeries,
     apply_to_monomial,
     check_bernoulli_link,
     check_euler_transform,
@@ -17,42 +16,40 @@ from heatsphere.opercalc import (
     verify_lemmas,
 )
 
-
-def series(*coeffs, order=None):
-    if order is None:
-        order = len(coeffs) - 1
-    return TruncatedSeries.from_coefficients([Fraction(c) for c in coeffs], order)
+ONE = Polynomial((Fraction(1),))
 
 
-def test_series_construction_and_padding():
-    s = TruncatedSeries.from_coefficients([1, 2], 4)
-    assert s.coefficients == (1, 2, 0, 0, 0)
-    s = TruncatedSeries.from_coefficients([1, 2, 3, 4], 1)
-    assert s.coefficients == (1, 2)
+def series(*coeffs):
+    return Polynomial.from_coefficients(coeffs)
+
+
+def test_series_construction_and_truncation():
+    assert series(1, 2, 3, 4).times(ONE, 1).coefficients == (1, 2)
+    # a cut that lands on a zero coefficient leaves no trailing zero
+    assert p_series(5).degree == 4
+    assert series(0, 1).times(series(0, 1), 1) == series()
     with pytest.raises(ValueError):
-        TruncatedSeries(2, (Fraction(1),))
+        p_series(-1)
     with pytest.raises(ValueError):
-        TruncatedSeries(-1, ())
+        invert_series(ONE, -1)
+    with pytest.raises(ValueError):
+        series(1, 1).times(ONE, -1)
+    with pytest.raises(ValueError):
+        series(1, 1).power(0, -1)
 
 
 def test_series_ring_operations():
-    a = series(1, 1, order=3)  # 1 + D
-    b = series(1, -1, order=3)
-    assert (a * b).coefficients == (1, 0, -1, 0)
-    assert (a + b).coefficients == (2, 0, 0, 0)
-    assert (a - a).coefficients == (0, 0, 0, 0)
-    assert (a ** 3).coefficients == (1, 3, 3, 1)
-    assert (a * Fraction(1, 2)).coefficients == (Fraction(1, 2), Fraction(1, 2), 0, 0)
-    assert (2 * a).coefficients == (2, 2, 0, 0)
-
-
-def test_series_order_mismatch_rejected():
+    a = series(1, 1)  # 1 + D
+    b = series(1, -1)
+    assert a.times(b, 3).coefficients == (1, 0, -1)
+    assert (a + b).coefficients == (2,)
+    assert (a - a).coefficients == ()
+    assert a.power(3, 3).coefficients == (1, 3, 3, 1)
+    assert a.power(3, 2).coefficients == (1, 3, 3)
+    assert (a * Fraction(1, 2)).coefficients == (Fraction(1, 2), Fraction(1, 2))
+    assert (2 * a).coefficients == (2, 2)
     with pytest.raises(ValueError):
-        series(1, order=2) + series(1, order=3)
-    with pytest.raises(ValueError):
-        series(1, order=2) * series(1, order=1)
-    with pytest.raises(ValueError):
-        series(1, 1) ** -1
+        a.power(-1)
 
 
 def test_p_series_coefficients():
@@ -65,19 +62,21 @@ def test_p_series_coefficients():
 
 
 def test_invert_series_small():
-    inv = invert_series(p_series(2))
+    inv = invert_series(p_series(2), 2)
     assert inv.coefficients == (1, 0, Fraction(-1, 24))
-    assert (p_series(2) * inv).coefficients == (1, 0, 0)
+    assert p_series(2).times(inv, 2).coefficients == (1,)
 
 
 def test_invert_series_is_true_inverse():
     p = p_series(12)
-    assert (p * invert_series(p)) == TruncatedSeries.one(12)
+    assert p.times(invert_series(p, 12), 12) == ONE
 
 
 def test_invert_rejects_zero_constant():
     with pytest.raises(ValueError):
-        invert_series(series(0, 1, order=2))
+        invert_series(series(0, 1), 2)
+    with pytest.raises(ValueError):
+        invert_series(series(), 2)
 
 
 rational_coeffs = st.lists(
@@ -89,18 +88,18 @@ rational_coeffs = st.lists(
 @given(rational_coeffs)
 def test_inversion_is_an_involution(coeffs):
     assume(coeffs[0] != 0)
-    s = TruncatedSeries.from_coefficients(coeffs, len(coeffs) - 1)
-    assert invert_series(invert_series(s)) == s
+    order = len(coeffs) - 1
+    s = series(*coeffs)
+    assert invert_series(invert_series(s, order), order) == s
 
 
 def test_apply_to_monomial():
     assert apply_to_monomial(series(0, 0, 1), 2) == 2
+    assert apply_to_monomial(series(0, 0, 1), 3) == 0
     # P^2 = 1 + D^2/12 + ..., so acting on x^2 at 0 picks out 2!/12
-    p2 = p_series(4) * p_series(4)
+    p2 = p_series(4).times(p_series(4), 4)
     assert apply_to_monomial(p2, 2) == Fraction(1, 6)
     assert apply_to_monomial(p2, 0) == 1
-    with pytest.raises(ValueError):
-        apply_to_monomial(p2, 5)
     with pytest.raises(ValueError):
         apply_to_monomial(p2, -1)
 
@@ -122,10 +121,10 @@ def test_terminating_2f1_rejections():
 
 
 def test_terminating_2f1_series_argument():
-    # 2F1(-m, b; b; z) = (1 - z)^m holds verbatim for series z
+    # 2F1(-m, b; b; z) = (1 - z)^m holds exactly for polynomial z
     z = p_series(8) * p_series(8)
     lhs = terminating_2f1(-2, Fraction(3, 2), Fraction(3, 2), z)
-    rhs = (TruncatedSeries.one(8) - z) ** 2
+    rhs = (ONE - z) ** 2
     assert lhs == rhs
 
 
@@ -133,10 +132,10 @@ def test_vanishing_mechanism_order():
     # (1 - P^2)^m starts exactly at D^(2m)
     for m in range(1, 6):
         order = 2 * m + 4
-        q = TruncatedSeries.one(order) - p_series(order) * p_series(order)
-        power = q ** m
-        assert all(power.coefficients[i] == 0 for i in range(2 * m))
-        assert power.coefficients[2 * m] == Fraction(-1, 12) ** m
+        q = ONE - p_series(order).times(p_series(order), order)
+        power = q.power(m, order)
+        assert all(power.coefficient(i) == 0 for i in range(2 * m))
+        assert power.coefficient(2 * m) == Fraction(-1, 12) ** m
 
 
 def test_euler_transform_on_the_working_family():
@@ -166,7 +165,7 @@ def test_bernoulli_link_report():
 
 
 def test_inverse_series_bernoulli_values():
-    inv = invert_series(p_series(8))
+    inv = invert_series(p_series(8), 8)
     frozen = {1: Fraction(-1, 12), 2: Fraction(7, 240), 3: Fraction(-31, 1344), 4: Fraction(127, 3840)}
     for t, value in frozen.items():
         assert factorial(2 * t) * inv.coefficients[2 * t] == value
