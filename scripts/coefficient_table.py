@@ -8,6 +8,7 @@ Each column is one `heat_invariant_row`.  For machine-readable output use
 import argparse
 import sys
 
+from heatsphere.cli import tolerate_closed_stdout
 from heatsphere.invariants import heat_invariant_row
 
 
@@ -24,10 +25,11 @@ def main() -> int:
     header = ["n \\ d"] + [str(d) for d in dims]
     rows = [[str(n)] + [str(column[n].value) for column in columns] for n in range(args.max_n + 1)]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    print(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
-    print("-|-".join("-" * w for w in widths))
-    for row in rows:
-        print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    with tolerate_closed_stdout():
+        print(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
+        print("-|-".join("-" * w for w in widths))
+        for row in rows:
+            print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return 0
 
 

@@ -3,14 +3,15 @@
 
 One line per suite; exits nonzero if anything fails.  This is
 `heatsphere verify <target>` for every target in `heatsphere.cli.SUITES`,
-each at its default box.
+each at its default box.  If the reader of stdout leaves early, every
+suite still runs, with its output discarded.
 """
 
 import sys
 import time
 
 from heatsphere.asymptotics import remainder_order
-from heatsphere.cli import SUITES
+from heatsphere.cli import SUITES, tolerate_closed_stdout
 
 
 def main() -> int:
@@ -20,10 +21,11 @@ def main() -> int:
         report = runner()
         elapsed = time.perf_counter() - start
         status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {name}: {report.points_checked} points in {elapsed:.2f}s")
-        for witness in report.failures:
-            params = ", ".join(f"{k}={v}" for k, v in witness.parameters.items())
-            print(f"  witness {params}: computed {witness.computed}, expected {witness.expected}")
+        with tolerate_closed_stdout():
+            print(f"{status} {name}: {report.points_checked} points in {elapsed:.2f}s")
+            for witness in report.failures:
+                params = ", ".join(f"{k}={v}" for k, v in witness.parameters.items())
+                print(f"  witness {params}: computed {witness.computed}, expected {witness.expected}")
         if not report.passed:
             failures += 1
 
@@ -32,10 +34,11 @@ def main() -> int:
             est = remainder_order(d, n_terms)
             ok = est.status == "ok" and est.relative_deviation < 0.2
             status = "PASS" if ok else "FAIL"
-            print(
-                f"{status} asympt d={d} n_terms={n_terms}: status={est.status} "
-                f"observed={est.observed_order:.4f} expected={est.expected_order}"
-            )
+            with tolerate_closed_stdout():
+                print(
+                    f"{status} asympt d={d} n_terms={n_terms}: status={est.status} "
+                    f"observed={est.observed_order:.4f} expected={est.expected_order}"
+                )
             if not ok:
                 failures += 1
 

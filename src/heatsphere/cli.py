@@ -9,10 +9,12 @@ verification or deviation failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -21,6 +23,22 @@ from .exactnum import ExactValue
 from .verification import VerificationReport
 
 CSV_HEADER = ["n", "d", "omega", "route", "num", "den", "pi_half", "float"]
+
+
+@contextlib.contextmanager
+def tolerate_closed_stdout():
+    """Write to stdout in this block; a reader that has left ends the output only.
+
+    On a closed pipe (`... | head`) stdout is pointed at os.devnull, as the
+    Python docs advise, so that later writes and the flush at exit do not
+    raise again: no traceback, and the exit code stays the one the program
+    computed before it wrote.
+    """
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -107,27 +125,28 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(f"error: --omega is incompatible with --formula {args.formula}", file=sys.stderr)
         return 2
     results = _compute_results(args)
-    if args.format == "json":
-        for result in results:
-            print(json.dumps(_record_dict(result)))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_HEADER)
-        for result in results:
-            value = result.value
-            rounded = _float_or_none(value)
-            writer.writerow(
-                [
-                    result.n,
-                    result.d,
-                    "" if result.omega_used is None else result.omega_used,
-                    result.route,
-                    value.coeff.numerator,
-                    value.coeff.denominator,
-                    value.pi_half,
-                    "" if rounded is None else repr(rounded),
-                ]
-            )
+    with tolerate_closed_stdout():
+        if args.format == "json":
+            for result in results:
+                print(json.dumps(_record_dict(result)))
+        else:
+            writer = csv.writer(sys.stdout)
+            writer.writerow(CSV_HEADER)
+            for result in results:
+                value = result.value
+                rounded = _float_or_none(value)
+                writer.writerow(
+                    [
+                        result.n,
+                        result.d,
+                        "" if result.omega_used is None else result.omega_used,
+                        result.route,
+                        value.coeff.numerator,
+                        value.coeff.denominator,
+                        value.pi_half,
+                        "" if rounded is None else repr(rounded),
+                    ]
+                )
     return 0
 
 
@@ -166,17 +185,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = _run_verify(args)
     if report.points_checked == 0:
         raise ValueError(f"verify {args.target}: the box holds no points")
-    if args.format == "json":
-        print(json.dumps(report.as_dict()))
-    else:
-        box = ", ".join(f"{name} in {span}" for name, span in report.parameter_box)
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {report.identity_name}: {report.points_checked} points ({box})")
-        for witness in report.failures:
-            params = ", ".join(f"{k}={v}" for k, v in witness.parameters.items())
-            print(f"  witness {params}: computed {witness.computed}, expected {witness.expected}")
-        for note in report.notes:
-            print(f"  note: {note}")
+    with tolerate_closed_stdout():
+        if args.format == "json":
+            print(json.dumps(report.as_dict()))
+        else:
+            box = ", ".join(f"{name} in {span}" for name, span in report.parameter_box)
+            status = "PASS" if report.passed else "FAIL"
+            print(f"{status} {report.identity_name}: {report.points_checked} points ({box})")
+            for witness in report.failures:
+                params = ", ".join(f"{k}={v}" for k, v in witness.parameters.items())
+                print(f"  witness {params}: computed {witness.computed}, expected {witness.expected}")
+            for note in report.notes:
+                print(f"  note: {note}")
     return 0 if report.passed else 1
 
 
@@ -184,19 +204,17 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     if not 0 <= args.max_dev < math.inf:
         raise ValueError(f"--max-dev must be finite and >= 0, got {args.max_dev}")
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
-    print(
-        json.dumps(
-            {
-                "d": estimate.d,
-                "n_terms": estimate.n_terms,
-                "t_values": list(estimate.t_values),
-                "observed_order": estimate.observed_order,
-                "expected_order": estimate.expected_order,
-                "relative_deviation": estimate.relative_deviation,
-                "status": estimate.status,
-            }
-        )
-    )
+    record = {
+        "d": estimate.d,
+        "n_terms": estimate.n_terms,
+        "t_values": list(estimate.t_values),
+        "observed_order": estimate.observed_order,
+        "expected_order": estimate.expected_order,
+        "relative_deviation": estimate.relative_deviation,
+        "status": estimate.status,
+    }
+    with tolerate_closed_stdout():
+        print(json.dumps(record))
     if estimate.status == "ok" and estimate.relative_deviation > args.max_dev:
         return 1
     return 0

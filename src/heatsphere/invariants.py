@@ -42,27 +42,42 @@ class HeatInvariantResult:
     value: ExactValue
 
 
-def _expand_even_product(roots: list[int]) -> list[int]:
-    # ascending coefficients of prod (u - r) over the integer roots r
-    coeffs = [1]
+def _expand_even_product(roots: list[int], top: int | None = None) -> list[int]:
+    # Ascending coefficients of prod (u - r) over the integer roots r, or only the
+    # top + 1 highest of them.  They are built from the top down, desc[k] being the
+    # coefficient of u^(len(roots) - k): the product is monic, so the top entries
+    # never read one below them, and a full-length desc just grows by one each step.
+    if top is None:
+        top = len(roots)
+    desc = [1]
     for r in roots:
-        coeffs = [lo - r * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
-    return coeffs
+        if len(desc) <= top:
+            desc.append(0)
+        desc = [lo - r * hi for lo, hi in zip(desc, [0] + desc)]
+    return desc[::-1]
 
 
-def k_table_odd(alpha: int) -> list[int]:
-    """Ascending coefficients c of prod_{b<alpha} (u - b^2), u = z^2: K_s = c[s], c[0] = 0."""
+def k_table_odd(alpha: int, top: int | None = None) -> list[int]:
+    """Ascending coefficients c of prod_{b<alpha} (u - b^2), u = z^2: K_s = c[s], c[0] = 0.
+
+    With `top`, only c[alpha-top..alpha] (K_s for s >= alpha - top) is built and
+    returned, so read it from the end: K_(alpha-k) = c[-1-k] for k <= top.
+    """
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return _expand_even_product([b * b for b in range(alpha)])
+    return _expand_even_product([b * b for b in range(alpha)], top)
 
 
-def k_table_even(nu: int) -> list[int]:
+def k_table_even(nu: int, top: int | None = None) -> list[int]:
     """Ascending coefficients c of prod_{i<nu-1} (U - (2i+1)^2), U = 4z^2: the roots
-    b = 1/2, ..., nu-3/2 scaled by 4, so K_t (of z^(2nu-2-2t)) is c[nu-1-t] / 4^t."""
+    b = 1/2, ..., nu-3/2 scaled by 4, so K_t (of z^(2nu-2-2t)) is c[nu-1-t] / 4^t.
+
+    With `top`, only c[nu-1-top..nu-1] (K_0..K_top) is built and returned, so read
+    it from the end: K_t = c[-1-t] / 4^t for t <= top.
+    """
     if nu < 1:
         raise ValueError(f"nu must be positive, got {nu}")
-    return _expand_even_product([(2 * i + 1) ** 2 for i in range(nu - 1)])
+    return _expand_even_product([(2 * i + 1) ** 2 for i in range(nu - 1)], top)
 
 
 def _general_sum(n: int, d: int, omega: int) -> ExactValue:
@@ -77,10 +92,12 @@ def _general_sum(n: int, d: int, omega: int) -> ExactValue:
         powers = [power * lam for power, lam in zip(powers, lams)]
         lams.append(eigenvalue(j, d))
         powers.append(multiplicity(j, d) * lams[-1] ** (j + n))
-        inner = 0
-        for k, power in enumerate(powers, 1):
-            term = binomial(2 * j + d - 1, j - k) * power
-            inner += -term if k % 2 else term
+        # the weights C(2j+d-1, i), i = j - k, stepped from k = j down
+        inner, binom, upper = 0, 1, 2 * j + d - 1
+        for i, power in enumerate(reversed(powers)):
+            term = binom * power
+            inner += -term if (j - i) % 2 else term
+            binom = binom * (upper - i) // (i + 1)
         # inner / ((omega-j)! (j+n)! (2j+d)!) over the denominator below
         scale = math.perm(omega, j) * math.perm(omega + n, omega - j)
         total += inner * scale * math.perm(2 * omega + d, 2 * (omega - j))
@@ -122,10 +139,11 @@ def _odd_row(alpha: int, top: int) -> Callable[[int], ExactValue]:
     # puts every term over the one denominator 4^alpha n! (2 alpha)!; with k = alpha - s
     # the numerator is _binomial_sum(n, u, alpha^2), u[k] = k! c[s] (2s)!/s! 4^k.
     # c[0] = 0 drops k = alpha.
-    c = k_table_odd(alpha)
+    top = min(top, alpha - 1)
+    c = k_table_odd(alpha, top)
     u = [
-        factorial(k) * c[alpha - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
-        for k in range(min(top, alpha - 1) + 1)
+        factorial(k) * c[-1 - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
+        for k in range(top + 1)
     ]
     scale = 4**alpha * factorial(2 * alpha)
     return lambda n: ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * factorial(n)), 1)
@@ -138,14 +156,13 @@ def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
     return _odd_row(alpha, n)(n)
 
 
-def _even_poly(c: list[int], top: int) -> list[int]:
+def _even_poly(nu: int, top: int) -> tuple[list[int], list[int]]:
     # With h = nu - 1/2 the polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)!
     # is _binomial_sum(n, u, (2h)^2) over 4^n n!, u[t] = t! (nu-1-t)! c[nu-1-t], t < nu.
-    nu = len(c)
-    return [
-        factorial(t) * factorial(nu - 1 - t) * c[nu - 1 - t]
-        for t in range(min(nu - 1, top) + 1)
-    ]
+    # Returns (c, u), c the K-table down to K_top (whole once top >= nu - 1).
+    top = min(nu - 1, top)
+    c = k_table_even(nu, top)
+    return c, [factorial(t) * factorial(nu - 1 - t) * c[-1 - t] for t in range(top + 1)]
 
 
 def heat_invariant_even(n: int, nu: int) -> ExactValue:
@@ -154,26 +171,28 @@ def heat_invariant_even(n: int, nu: int) -> ExactValue:
     The correction is empty when nu > n; its sign convention makes this route
     agree with the general route exactly (the ledger is
     opercalc.check_bernoulli_link).  With B_2p from T_(2p-1) and
-    1/((n-t-p)! (p-nu+t)!) = C(n-nu, n-t-p)/(n-nu)!, each p is one integer sum.
+    1/((n-t-p)! (p-nu+t)!) = C(n-nu, n-t-p)/(n-nu)!, each p is one integer sum,
+    and the binomial theorem gives all of them as one polynomial's coefficients.
     `heat_invariant_row` regroups the same correction to share it along a row.
     """
     if n < 1 or nu < 1:
         raise ValueError(f"need n >= 1 and nu >= 1, got n={n}, nu={nu}")
-    c = k_table_even(nu)
+    c, poly = _even_poly(nu, n)
     q = (2 * nu - 1) ** 2  # (2h)^2
-    total = Fraction(_binomial_sum(n, _even_poly(c, n), q), 4**n * factorial(n))
+    total = Fraction(_binomial_sum(n, poly, q), 4**n * factorial(n))
     if n >= nu:
         m = n - nu
-        # weights[j] = C(m, j) (2h)^(2j), where j = n - t - p
-        weights = [binomial(m, j) * q**j for j in range(m + 1)]
+        # With j = n-p-t, sum_t (-1)^t C(m, j) q^j c[nu-1-t] is the x^(n-p)
+        # coefficient of (1 + qx)^m sum_t (-1)^t c[nu-1-t] x^t: m steps of
+        # multiplying by 1 + qx give every p's integer sum at once.
+        inner = [-c[nu - 1 - t] if t % 2 else c[nu - 1 - t] for t in range(nu)]
+        for _ in range(m):
+            inner.append(0)
+            inner = [lo + q * hi for lo, hi in zip(inner, [0] + inner)]
         tangents = tangent_numbers(n)
         correction = Fraction(0)
         for p in range(1, n + 1):
-            inner = 0
-            for t in range(max(0, nu - p), min(nu - 1, n - p) + 1):
-                term = weights[n - p - t] * c[nu - 1 - t]
-                inner += -term if t % 2 else term
-            correction += Fraction(inner * tangents[p] * (2 - 4**p), 4**p * (4**p - 1))
+            correction += Fraction(inner[n - p] * tangents[p] * (2 - 4**p), 4**p * (4**p - 1))
         sign = -1 if nu % 2 else 1
         total += sign * 2 * correction / (4**n * factorial(m))
     return ExactValue(total / factorial(2 * nu - 1), 0)
@@ -197,9 +216,8 @@ def _even_row(nu: int, top: int) -> Callable[[int], ExactValue]:
     # a_n 4^n n! (2nu-1)! is the polynomial part plus, for n >= nu,
     # 2 sign n!/(n-nu)! / L * sum_r C(n-nu, r-nu) G_r q^(n-r), q = (2nu-1)^2:
     # a second Cauchy product with e^(qt), of the series G.
-    c = k_table_even(nu)
+    c, poly = _even_poly(nu, top)
     q = (2 * nu - 1) ** 2
-    poly = _even_poly(c, top)
     g, lcm = _even_correction(c, top) if top >= nu else ([], 1)
     scale = factorial(2 * nu - 1)
     sign = -1 if nu % 2 else 1

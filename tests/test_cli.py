@@ -298,6 +298,23 @@ def test_one_process_runs_commands_back_to_back(capsys):
     assert code == 0 and out.splitlines()[2].startswith("1,2,,even,1,3,")
 
 
+def test_compute_into_a_closed_pipe_exits_cleanly():
+    # every cell is computed before the first line, so a reader leaving early
+    # cuts the output only: no traceback, exit 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heatsphere", "compute", "--n", "0..200", "--d", "1..20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert json.loads(proc.stdout.readline())["n"] == 0
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heatsphere", "compute", "--n", "1", "--d", "3"],

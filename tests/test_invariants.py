@@ -52,6 +52,16 @@ def test_k_table_even_leading_entry():
         assert k_table_even(nu)[nu - 1] == 1
 
 
+def test_k_table_top_is_the_top_of_the_full_table():
+    # the product is monic, so its highest coefficients are built alone;
+    # a top at or past the whole table returns the whole table
+    for size in range(1, 61):
+        odd, even = k_table_odd(size), k_table_even(size)
+        for top in range(size + 2):
+            assert k_table_odd(size, top) == odd[-1 - top:]
+            assert k_table_even(size, top) == even[-1 - top:]
+
+
 def test_k_table_validation():
     with pytest.raises(ValueError):
         k_table_odd(0)
@@ -202,8 +212,11 @@ def test_omega_stability_small_box():
 
 
 def test_sharpness_below_bound():
-    for n, d in ((1, 1), (2, 1), (2, 3)):
+    points = ((1, 1), (2, 1), (2, 3), (3, 4), (4, 7), (5, 10))
+    for n, d in points:
         assert _general_sum(n, d, 2 * n - 1) != _general_sum(n, d, 2 * n)
+    # verify_sharpness reads the general route's core directly, below its bound
+    assert verify_sharpness(points).passed
 
 
 def test_mckean_singer_oracle():
@@ -225,6 +238,20 @@ def test_closed_d2_bernoulli_sum_spot_values():
     # cross-check instead: equality with the even route
     for n in range(1, 11):
         assert heat_invariant_closed(n, 2) == heat_invariant_even(n, 1)
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (3, 61), (5, 201),  # odd: only the top of the K-table is built
+        (4, 60), (6, 90),  # even with n < nu: the same, and no correction
+        (14, 20), (18, 24),  # even with n >= nu: the Bernoulli correction runs
+    ],
+)
+def test_parity_equals_general_where_the_kernels_cut_work(n, d):
+    general = heat_invariant_general(n, d, 2 * n)
+    assert heat_invariant(n, d).value == general
+    assert heat_invariant_row([n], d)[0].value == general
 
 
 def test_general_sum_big_cell_is_exact():
@@ -268,7 +295,7 @@ def test_row_builds_its_k_table_once(d, monkeypatch, capsys):
     for name in ("k_table_odd", "k_table_even"):
         original = getattr(invariants, name)
         monkeypatch.setattr(
-            invariants, name, lambda arg, original=original: built.append(arg) or original(arg)
+            invariants, name, lambda *args, original=original: built.append(args) or original(*args)
         )
     assert main(["compute", "--n", "0..32", "--d", str(d)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 33
