@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .invariants import heat_invariant
+from .invariants import HeatInvariantResult, heat_invariant, heat_invariant_row
 from .spectrum import multiplicity
 
 DEFAULT_MAX_K = 1_000_000
@@ -91,20 +91,19 @@ def asymptotic_sum(d: int, t: float, n_terms: int) -> float:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    return _partial_sum(heat_invariant_row(range(n_terms), d), t)
+
+
+def _partial_sum(row: list[HeatInvariantResult], t: float) -> float:
+    """sum of float(a_{n,d}) t^(n - d/2) over the row, in its order."""
     acc = 0.0
-    for n in range(n_terms):
-        coeff = heat_invariant(n, d).value
-        acc += float(coeff) * t ** (n - d / 2)
+    for result in row:
+        try:
+            coeff = float(result.value)
+        except OverflowError:
+            raise ValueError(f"a_(n,d) overflows a double at d={result.d}, n={result.n}") from None
+        acc += coeff * t ** (result.n - result.d / 2)
     return acc
-
-
-def _first_omitted_exponent(d: int, n_terms: int) -> float | None:
-    """Exponent of the first nonzero omitted term, or None if all omitted
-    coefficients within the scan depth vanish."""
-    for n in range(n_terms, n_terms + _SCAN_DEPTH):
-        if heat_invariant(n, d).value:
-            return n - d / 2
-    return None
 
 
 def remainder_order(d: int, n_terms: int, t0: float = 0.05) -> RemainderEstimate:
@@ -120,14 +119,18 @@ def remainder_order(d: int, n_terms: int, t0: float = 0.05) -> RemainderEstimate
     if not 0 < t0 < 1:
         raise ValueError(f"t0 must lie in (0, 1), got {t0}")
     t_values = (t0, t0 / 2)
-    expected = _first_omitted_exponent(d, n_terms)
-    if expected is None:
+    row = heat_invariant_row(range(n_terms + 1), d)
+    # the first omitted exponent; past a_{n_terms,d} = 0 the scan goes cell by cell
+    omitted = (n for n in range(n_terms + 1, n_terms + _SCAN_DEPTH) if heat_invariant(n, d).value)
+    first = n_terms if row[-1].value else next(omitted, None)
+    if first is None:
         return RemainderEstimate(d, n_terms, t_values, 0.0, None, None, "beyond-all-orders")
+    expected = first - d / 2
 
     remainders = []
     for t in t_values:
         trace = heat_trace_numeric(d, t, rel_tol=1e-13)
-        residual = abs(trace - asymptotic_sum(d, t, n_terms))
+        residual = abs(trace - _partial_sum(row[:-1], t))
         if residual <= _NOISE_FLOOR * abs(trace):
             return RemainderEstimate(d, n_terms, t_values, 0.0, expected, None, "inconclusive")
         remainders.append(residual)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -193,6 +194,21 @@ def reciprocal_factorial(m: int) -> Rational:
     if m < 0:
         return Fraction(0)
     return Fraction(1, math.factorial(m))
+
+
+def omega_sum(omega: int, n: int, c: int, inners: Iterable[int], ratio: int = 1) -> Rational:
+    """sum_j inner_j / (ratio^j (omega-j)! (j+n)! (2j+c)!) over j = 0..omega, 1/m! = 0 for m < 0,
+    as one integer over ratio^omega omega! (omega+n)! (2omega+c)!; `inners` yields inner_j."""
+    if omega + n < 0:
+        return Fraction(0)
+    total = 0
+    for j, inner in enumerate(inners):
+        total *= ratio  # Horner: term j gets ratio^(omega-j)
+        if j + n >= 0:
+            scale = math.perm(omega, j) * math.perm(omega + n, omega - j)
+            total += inner * scale * math.perm(2 * omega + c, 2 * (omega - j))
+    denominator = math.factorial(omega) * math.factorial(omega + n) * math.factorial(2 * omega + c)
+    return Fraction(total, ratio**omega * denominator)
 
 
 def binomial(a: int, b: int) -> int:

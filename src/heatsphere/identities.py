@@ -6,15 +6,21 @@ it vanishes for every rational x once omega >= 2n, and its one-sided twin
 three-sphere analogue with a nonzero right side.  `alternating_power_sum`
 is the residue-style sum that collapses to 0 or (2j)!.
 
+Each sum is one integer over one common denominator (`exactnum.omega_sum`):
+for x = a/b, `s1_sum` and its one-sided twin (a = 0, b = 1) over
+b^(2omega+2n) omega! (omega+n)! (2omega+1)!, and `s3_sum` over
+omega! (omega+n)! (2omega+3)!, times Gamma(omega + 5/2).
+
 Evaluation below omega = 2n is deliberately allowed everywhere here: the
 bound is itself one of the claims under test.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
-from .exactnum import ExactValue, Rational, binomial, factorial, gamma_half
+from .exactnum import ExactValue, Rational, binomial, factorial, gamma_half, omega_sum
 from .verification import VerificationReport
 
 __all__ = [
@@ -35,17 +41,8 @@ def s1_sum(n: int, omega: int, x: Rational | int) -> Rational:
     if omega < 0:
         raise ValueError(f"need omega >= 0, got {omega}")
     x = Fraction(x)
-    total = Fraction(0)
-    for j in range(omega + 1):
-        inner = Fraction(0)
-        for k in range(-j, j + 1):
-            sign = -1 if k % 2 else 1
-            inner += (
-                Fraction(sign, factorial(j - k) * factorial(j + k))
-                * (x + k) ** (2 * j + 2 * n)
-            )
-        total += inner / (factorial(omega - j) * factorial(j + n) * (2 * j + 1))
-    return total
+    b = x.denominator
+    return omega_sum(omega, n, 1, _s1_inners(omega, n, x.numerator, b), b * b) / b ** (2 * n)
 
 
 def s1_sum_one_sided(n: int, omega: int) -> Rational:
@@ -57,14 +54,19 @@ def s1_sum_one_sided(n: int, omega: int) -> Rational:
         raise ValueError(f"need n >= 1, got {n}")
     if omega < 0:
         raise ValueError(f"need omega >= 0, got {omega}")
-    total = Fraction(0)
+    return omega_sum(omega, n, 1, _s1_inners(omega, n, 0, 1, one_sided=True))
+
+
+def _s1_inners(omega: int, n: int, a: int, b: int, one_sided: bool = False) -> Iterator[int]:
+    # inner_j = sum_k (-1)^k C(2j, j+k) (a+kb)^(2j+2n) over k = -j..j, or 0..j one-sided
     for j in range(omega + 1):
-        inner = Fraction(0)
-        for k in range(j + 1):
-            sign = -1 if k % 2 else 1
-            inner += Fraction(sign * k ** (2 * j + 2 * n), factorial(j - k) * factorial(j + k))
-        total += inner / (factorial(omega - j) * factorial(j + n) * (2 * j + 1))
-    return total
+        lo = 0 if one_sided else -j
+        inner, binom = 0, binomial(2 * j, j + lo)
+        for k in range(lo, j + 1):
+            term = binom * (a + k * b) ** (2 * j + 2 * n)
+            inner += -term if k % 2 else term
+            binom = binom * (j - k) // (j + k + 1)
+        yield inner
 
 
 def s3_sum(n: int, omega: int) -> ExactValue:
@@ -75,16 +77,18 @@ def s3_sum(n: int, omega: int) -> ExactValue:
     if omega < 0:
         raise ValueError(f"need omega >= 0, got {omega}")
     front = gamma_half(2 * omega + 5)  # Gamma(omega + 5/2)
-    total = Fraction(0)
+    return ExactValue(front.coeff * omega_sum(omega, n, 3, _s3_inners(omega, n)), front.pi_half)
+
+
+def _s3_inners(omega: int, n: int) -> Iterator[int]:
+    # inner_j = sum_l (-1)^l l^2 C(2j+2, j+1+l) (l^2-1)^(j+n), binomials stepped from l = j+1
     for j in range(omega + 1):
-        inner = Fraction(0)
-        for l in range(j + 2):
-            sign = -1 if l % 2 else 1
-            inner += Fraction(
-                sign * l * l, factorial(j + l + 1) * factorial(j - l + 1)
-            ) * Fraction(l * l - 1) ** (j + n)
-        total += inner / (factorial(omega - j) * factorial(j + n) * (2 * j + 3))
-    return ExactValue(front.coeff * total, front.pi_half)
+        inner, binom = 0, 1
+        for l in range(j + 1, 0, -1):  # l = 0 has l^2 = 0
+            term = binom * l * l * (l * l - 1) ** (j + n)
+            inner += -term if l % 2 else term
+            binom = binom * (j + 1 + l) // (j + 2 - l)
+        yield inner
 
 
 def s3_expected(n: int) -> ExactValue:

@@ -14,7 +14,7 @@ serves as an independent oracle for the others (`verify_crosscheck`).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +25,7 @@ from .exactnum import (
     binomial,
     factorial,
     gamma_half,
+    omega_sum,
     tangent_numbers,
 )
 from .spectrum import eigenvalue, multiplicity, weyl_leading_term
@@ -85,9 +86,15 @@ def _general_sum(n: int, d: int, omega: int) -> ExactValue:
     # with omega = 2n - 1 on purpose; everyone else goes through
     # heat_invariant_general, which enforces omega >= 2n.
     front = gamma_half(2 * omega + d + 2)  # Gamma(omega + d/2 + 1)
+    total = omega_sum(omega, n, d, _general_inners(n, d, omega))
+    return ExactValue(2 * (-1) ** n * front.coeff * total, front.pi_half)
+
+
+def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
+    # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n), over (2j+d)!
     lams: list[int] = []
     powers: list[int] = []  # powers[k-1] = mu_k lambda_k^(j+n) for the current j
-    total = 0
+    yield 0  # j = 0: no k
     for j in range(1, omega + 1):
         powers = [power * lam for power, lam in zip(powers, lams)]
         lams.append(eigenvalue(j, d))
@@ -98,12 +105,7 @@ def _general_sum(n: int, d: int, omega: int) -> ExactValue:
             term = binom * power
             inner += -term if (j - i) % 2 else term
             binom = binom * (upper - i) // (i + 1)
-        # inner / ((omega-j)! (j+n)! (2j+d)!) over the denominator below
-        scale = math.perm(omega, j) * math.perm(omega + n, omega - j)
-        total += inner * scale * math.perm(2 * omega + d, 2 * (omega - j))
-    denominator = factorial(omega) * factorial(omega + n) * factorial(2 * omega + d)
-    sign = -1 if n % 2 else 1
-    return ExactValue(2 * sign * front.coeff * Fraction(total, denominator), front.pi_half)
+        yield inner
 
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:

@@ -7,7 +7,10 @@ numbers.  A series is an `exactnum.Polynomial` cut at an order that each
 truncating call takes as an argument.  `terminating_2f1` evaluates
 hypergeometric sums whose argument may itself be a polynomial in D, which is
 how the vanishing mechanism (1 - P(D)^2)^(omega-n+1) = O(D^(2omega-2n+2))
-gets exercised literally.
+gets exercised literally.  `check_lemma` writes P(D) = Q(D^2)/N with integers
+Q_i = 4^(t-i) (2t+1)!/(2i+1)! and N = 4^t (2t+1)!, steps integer powers of Q,
+and sums (-1)^j (2j+2t+e)! [D^(2t)] Q^(2j+e) over the one common denominator
+N^(2omega'+e) omega'! (omega'+t-s)! (2omega'+1+e)! (`exactnum.omega_sum`).
 
 Sign convention: "1/P" in this module always means the multiplicative
 inverse.  The alternative normalization D/(e^(-D/2) - e^(D/2)) is its
@@ -17,9 +20,10 @@ under each.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exactnum import Polynomial, Rational, bernoulli, factorial, pochhammer, reciprocal_factorial
+from .exactnum import Polynomial, Rational, bernoulli, factorial, omega_sum, pochhammer
 from .verification import VerificationReport
 
 
@@ -146,33 +150,29 @@ def check_lemma(which: str, t: int, s: int, omega_prime: int) -> bool:
     if t < 1 - e:
         raise ValueError(f"{which} needs t >= {1 - e}, got {t}")
 
-    # only the D^(2t) coefficient is read, so every product stops there
-    order = 2 * t
-    p = p_series(order)
-    p_squared = p.times(p, order)
-    total = Fraction(0)
-    power = p.power(e)
-    for j in range(omega_prime + 1):
-        if j:
-            power = power.times(p_squared, order)
-        weight = (
-            reciprocal_factorial(omega_prime - j)
-            * reciprocal_factorial(j + t - s)
-            * reciprocal_factorial(2 * j + 1 + e)
-            * factorial(2 * j + 2 * t + e)
-        )
-        if weight == 0:
-            continue
-        value = weight * apply_to_monomial(power, 2 * t)
-        total += -value if j % 2 else value
+    # only the D^(2t) coefficient is read, so Q's powers stop at degree t
+    q = [math.perm(2 * t + 1, 2 * (t - i)) << 2 * (t - i) for i in range(t + 1)]
+    q_squared = _times(q, q)
+    big_n = math.factorial(2 * t + 1) << 2 * t
+    powers = [q if e else [1] + [0] * t]  # Q^e, then Q^(2j+e) for j = 1..omega'
+    for _ in range(omega_prime):
+        powers.append(_times(powers[-1], q_squared))
+    inners = [(-1) ** j * math.factorial(2 * j + 2 * t + e) * qp[t] for j, qp in enumerate(powers)]
+    total = omega_sum(omega_prime, t - s, 1 + e, inners, big_n * big_n)
+    total = total * factorial(2 * t) / big_n**e
     if which == "ff1_bb":
         return total == 0
     return total == (
         factorial(2 * t)
         * pochhammer(t - s, s)
         / (2 * factorial(omega_prime + 1) * factorial(t))
-        * apply_to_monomial(invert_series(p, order), 2 * t)
+        * apply_to_monomial(invert_series(p_series(2 * t), 2 * t), 2 * t)
     )
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists of one length, cut at that length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
 def verify_lemmas(

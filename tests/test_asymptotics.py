@@ -3,11 +3,15 @@ import math
 import pytest
 
 from heatsphere.asymptotics import (
+    _NOISE_FLOOR,
+    _SCAN_DEPTH,
+    RemainderEstimate,
     TruncationCapError,
     asymptotic_sum,
     heat_trace_numeric,
     remainder_order,
 )
+from heatsphere.invariants import heat_invariant
 
 
 def test_circle_trace_against_theta_limit():
@@ -111,3 +115,40 @@ def test_remainder_order_reports_probe_points():
     est = remainder_order(2, 2, t0=0.04)
     assert est.t_values == (0.04, 0.02)
     assert est.d == 2 and est.n_terms == 2
+
+
+def cell_by_cell_sum(d, t, n_terms):
+    acc = 0.0
+    for n in range(n_terms):
+        acc += float(heat_invariant(n, d).value) * t ** (n - d / 2)
+    return acc
+
+
+def cell_by_cell_remainder_order(d, n_terms, t0):
+    """remainder_order with one heat_invariant call per coefficient."""
+    t_values = (t0, t0 / 2)
+    nonzero = [n for n in range(n_terms, n_terms + _SCAN_DEPTH) if heat_invariant(n, d).value]
+    if not nonzero:
+        return RemainderEstimate(d, n_terms, t_values, 0.0, None, None, "beyond-all-orders")
+    expected = nonzero[0] - d / 2
+    remainders = []
+    for t in t_values:
+        trace = heat_trace_numeric(d, t, rel_tol=1e-13)
+        residual = abs(trace - cell_by_cell_sum(d, t, n_terms))
+        if residual <= _NOISE_FLOOR * abs(trace):
+            return RemainderEstimate(d, n_terms, t_values, 0.0, expected, None, "inconclusive")
+        remainders.append(residual)
+    observed = math.log2(remainders[0] / remainders[1])
+    deviation = abs(observed - expected) / abs(expected) if expected != 0 else abs(observed)
+    return RemainderEstimate(d, n_terms, t_values, observed, expected, deviation, "ok")
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_path_gives_the_cell_by_cell_floats(d):
+    # compared with ==: the row must sum the same doubles in the same order.
+    # d = 1 (every coefficient past a_0 vanishes) and d = 5 at n_terms = 6
+    # (a_{6,5} = 0) run the scan past the row.
+    for n_terms in range(1, 7):
+        for t in (0.05, 0.01, 0.001):
+            assert asymptotic_sum(d, t, n_terms) == cell_by_cell_sum(d, t, n_terms)
+            assert remainder_order(d, n_terms, t) == cell_by_cell_remainder_order(d, n_terms, t)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,19 @@ def test_verify_n_below_one_names_the_given_range(capsys, argv, span):
     assert f"need n >= 1, got {span}" in err
 
 
+# text and JSON output of each identity sweep down to omega = 2n - 3, witnesses
+# included, as the Fraction transcriptions of the sums printed them
+VERIFY_OFFSETS = json.loads((Path(__file__).parent / "data" / "verify_offsets.json").read_text())
+
+
+@pytest.mark.parametrize("target", ["s1", "s1g", "s3"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_identity_output_is_pinned_below_and_above_the_bound(capsys, target, fmt):
+    code, out, err = run_cli(capsys, "verify", target, "--offset=-3..4", "--format", fmt)
+    assert code == 1 and err == ""
+    assert out == VERIFY_OFFSETS[target][fmt]
+
+
 def test_verify_unknown_target_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "s2")
     assert code == 2
@@ -269,6 +283,17 @@ def test_asympt_bad_truncation_cap_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HEATSPHERE_MAX_K", "abc")
     code, _, err = run_cli(capsys, "asympt", "--d", "2", "--n-terms", "2")
     assert code == 2 and "HEATSPHERE_MAX_K" in err
+
+
+def test_asympt_coefficient_beyond_double_range_is_input_error():
+    # a_{296,2} is the first coefficient of d = 2 that a double cannot hold
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "asympt", "--d", "2", "--n-terms", "300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: a_(n,d) overflows a double at d=2, n=296\n"
 
 
 def test_asympt_high_dimension_prints_a_verdict():

@@ -161,3 +161,75 @@ def test_verify_rejects_unknown_name_and_keys():
         verify_identity("s1", {"j_max": 3})
     with pytest.raises(ValueError):
         verify_identity("vychet", {"n": (1, 2)})
+
+
+# Reference implementations: the sums transcribed term by term in Fraction
+# arithmetic, each term over its own factorials.  The module's kernels put
+# every term over one common denominator; the two must agree exactly.
+
+
+def reference_s1(n, omega, x):
+    x = Fraction(x)
+    total = Fraction(0)
+    for j in range(omega + 1):
+        inner = Fraction(0)
+        for k in range(-j, j + 1):
+            sign = -1 if k % 2 else 1
+            inner += Fraction(sign, factorial(j - k) * factorial(j + k)) * (x + k) ** (2 * j + 2 * n)
+        total += inner / (factorial(omega - j) * factorial(j + n) * (2 * j + 1))
+    return total
+
+
+def reference_s1_one_sided(n, omega):
+    total = Fraction(0)
+    for j in range(omega + 1):
+        inner = Fraction(0)
+        for k in range(j + 1):
+            sign = -1 if k % 2 else 1
+            inner += Fraction(sign * k ** (2 * j + 2 * n), factorial(j - k) * factorial(j + k))
+        total += inner / (factorial(omega - j) * factorial(j + n) * (2 * j + 1))
+    return total
+
+
+def reference_s3(n, omega):
+    front = gamma_half(2 * omega + 5)
+    total = Fraction(0)
+    for j in range(omega + 1):
+        inner = Fraction(0)
+        for l in range(j + 2):
+            sign = -1 if l % 2 else 1
+            inner += Fraction(sign * l * l, factorial(j + l + 1) * factorial(j - l + 1)) * Fraction(
+                l * l - 1
+            ) ** (j + n)
+        total += inner / (factorial(omega - j) * factorial(j + n) * (2 * j + 3))
+    return ExactValue(front.coeff * total, front.pi_half)
+
+
+# n 1..6 at omega = 2n-3..2n+4, so that nonzero values below the bound are compared too
+ORACLE_BOX = [(n, 2 * n + off) for n in range(1, 7) for off in range(-3, 5) if 2 * n + off >= 0]
+ORACLE_X = (0, Fraction(1, 2), 1, Fraction(7, 3), Fraction(-5, 7), Fraction(13, 11))
+
+
+@pytest.mark.parametrize("n, omega", ORACLE_BOX)
+def test_kernels_equal_the_fraction_reference(n, omega):
+    for x in ORACLE_X:
+        assert s1_sum(n, omega, x) == reference_s1(n, omega, x)
+    assert s1_sum_one_sided(n, omega) == reference_s1_one_sided(n, omega)
+    assert s3_sum(n, omega) == reference_s3(n, omega)
+
+
+def test_oracle_box_reaches_nonzero_values_below_the_bound():
+    below = [(n, omega) for n, omega in ORACLE_BOX if omega < 2 * n]
+    assert all(reference_s1_one_sided(n, omega) != 0 for n, omega in below if omega >= 1)
+    assert sum(reference_s3(n, omega) != s3_expected(n) for n, omega in below) >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+)
+def test_s1_kernel_equals_the_fraction_reference_at_any_rational(n, offset, x):
+    omega = max(0, 2 * n + offset)
+    assert s1_sum(n, omega, x) == reference_s1(n, omega, x)

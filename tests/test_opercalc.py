@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import Polynomial, factorial
+from heatsphere.exactnum import Polynomial, factorial, pochhammer, reciprocal_factorial
 from heatsphere.opercalc import (
     apply_to_monomial,
     check_bernoulli_link,
@@ -201,3 +201,53 @@ def test_verify_lemmas_report():
 def test_verify_lemmas_small_box():
     report = verify_lemmas(t_max=2, s_max=1, slack=1)
     assert report.passed
+
+
+def reference_check_lemma(which, t, s, omega_prime):
+    """check_lemma transcribed in Fraction arithmetic: truncated powers of
+    the P series and one weight of reciprocal factorials per term."""
+    e = 0 if which == "ff1_bb" else 1
+    order = 2 * t
+    p = p_series(order)
+    p_squared = p.times(p, order)
+    total = Fraction(0)
+    power = p.power(e)
+    for j in range(omega_prime + 1):
+        if j:
+            power = power.times(p_squared, order)
+        weight = (
+            reciprocal_factorial(omega_prime - j)
+            * reciprocal_factorial(j + t - s)
+            * reciprocal_factorial(2 * j + 1 + e)
+            * factorial(2 * j + 2 * t + e)
+        )
+        value = weight * apply_to_monomial(power, 2 * t)
+        total += -value if j % 2 else value
+    if which == "ff1_bb":
+        return total == 0
+    return total == (
+        factorial(2 * t)
+        * pochhammer(t - s, s)
+        / (2 * factorial(omega_prime + 1) * factorial(t))
+        * apply_to_monomial(invert_series(p, order), 2 * t)
+    )
+
+
+# both lemmas at t 0..5, s 0..4 and omega' = 2t+s-3..2t+s+3: the stated box
+# and the three omega' below it
+LEMMA_BOX = [
+    (which, t, s, omega_prime)
+    for which in ("ff1_bb", "ff2_e2")
+    for t in range(0 if which == "ff2_e2" else 1, 6)
+    for s in range(5)
+    for omega_prime in range(max(0, 2 * t + s - 3), 2 * t + s + 4)
+]
+
+
+def test_check_lemma_equals_the_fraction_reference():
+    outcomes = [check_lemma(*point) for point in LEMMA_BOX]
+    assert outcomes == [reference_check_lemma(*point) for point in LEMMA_BOX]
+    # the box holds points where each lemma fails, so the comparison is not all True
+    assert {(point[0], outcome) for point, outcome in zip(LEMMA_BOX, outcomes)} == {
+        ("ff1_bb", True), ("ff1_bb", False), ("ff2_e2", True), ("ff2_e2", False)
+    }
