@@ -106,11 +106,11 @@ def _record_dict(result: invariants.HeatInvariantResult) -> dict:
 def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantResult]:
     """Every requested cell, n outer and d inner, all computed before any is printed.
 
-    Under the default dispatch each d with two or more n is one row
-    (`heat_invariant_row`); the first invalid input raises the same error as
+    Under the default dispatch each d is one row (`heat_invariant_row`), which
+    costs what its cells cost; the first invalid input raises the same error as
     the cell-by-cell order would.
     """
-    if args.formula == "auto" and args.omega is None and len(args.n) >= 2:
+    if args.formula == "auto" and args.omega is None:
         rows = [invariants.heat_invariant_row(args.n, d) for d in args.d]
         return [row[i] for i in range(len(args.n)) for row in rows]
     return [
@@ -121,32 +121,19 @@ def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantR
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    if args.omega is not None and args.formula not in ("auto", "general"):
-        print(f"error: --omega is incompatible with --formula {args.formula}", file=sys.stderr)
-        return 2
-    results = _compute_results(args)
+    records = map(_record_dict, _compute_results(args))
     with tolerate_closed_stdout():
         if args.format == "json":
-            for result in results:
-                print(json.dumps(_record_dict(result)))
+            for record in records:
+                print(json.dumps(record))
         else:
+            # csv writes None as an empty field and a float as its repr
             writer = csv.writer(sys.stdout)
             writer.writerow(CSV_HEADER)
-            for result in results:
-                value = result.value
-                rounded = _float_or_none(value)
-                writer.writerow(
-                    [
-                        result.n,
-                        result.d,
-                        "" if result.omega_used is None else result.omega_used,
-                        result.route,
-                        value.coeff.numerator,
-                        value.coeff.denominator,
-                        value.pi_half,
-                        "" if rounded is None else repr(rounded),
-                    ]
-                )
+            writer.writerows(
+                [r["n"], r["d"], r["omega_used"], r["route"], *r["value"].values(), r["float_value"]]
+                for r in records
+            )
     return 0
 
 

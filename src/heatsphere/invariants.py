@@ -14,7 +14,8 @@ serves as an independent oracle for the others (`verify_crosscheck`).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,36 +136,63 @@ def _binomial_sum(n: int, u: list[int], x: int) -> int:
     return acc * x ** (n - top)
 
 
-def _odd_row(alpha: int, top: int) -> Callable[[int], ExactValue]:
-    # The K_s term is alpha^(2m) Gamma(s+1/2) / m! with m = n - alpha + s; it
-    # vanishes for m < 0 (reciprocal gamma).  Gamma(s+1/2) = sqrt(pi) (2s)!/(4^s s!)
-    # puts every term over the one denominator 4^alpha n! (2 alpha)!; with k = alpha - s
-    # the numerator is _binomial_sum(n, u, alpha^2), u[k] = k! c[s] (2s)!/s! 4^k.
-    # c[0] = 0 drops k = alpha.
-    top = min(top, alpha - 1)
+def _odd_values(alpha: int, ns: list[int]) -> Iterator[ExactValue]:
+    # a_{n, 2 alpha + 1} for the ascending ns >= 1.  The K_s term is
+    # alpha^(2m) Gamma(s+1/2) / m! with m = n - alpha + s; it vanishes for m < 0
+    # (reciprocal gamma).  Gamma(s+1/2) = sqrt(pi) (2s)!/(4^s s!) puts every term over
+    # the one denominator 4^alpha n! (2 alpha)!; with k = alpha - s the numerator is
+    # _binomial_sum(n, u, alpha^2), u[k] = k! c[s] (2s)!/s! 4^k.  c[0] = 0 drops k = alpha.
+    top = min(ns[-1], alpha - 1)
     c = k_table_odd(alpha, top)
     u = [
         factorial(k) * c[-1 - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
         for k in range(top + 1)
     ]
     scale = 4**alpha * factorial(2 * alpha)
-    return lambda n: ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * factorial(n)), 1)
+    for n in ns:
+        yield ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * factorial(n)), 1)
 
 
 def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
     """a_{n, 2*alpha+1} as a single sum over the odd K-table."""
     if n < 1 or alpha < 1:
         raise ValueError(f"need n >= 1 and alpha >= 1, got n={n}, alpha={alpha}")
-    return _odd_row(alpha, n)(n)
+    (value,) = _odd_values(alpha, [n])
+    return value
 
 
-def _even_poly(nu: int, top: int) -> tuple[list[int], list[int]]:
-    # With h = nu - 1/2 the polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)!
-    # is _binomial_sum(n, u, (2h)^2) over 4^n n!, u[t] = t! (nu-1-t)! c[nu-1-t], t < nu.
-    # Returns (c, u), c the K-table down to K_top (whole once top >= nu - 1).
-    top = min(nu - 1, top)
-    c = k_table_even(nu, top)
-    return c, [factorial(t) * factorial(nu - 1 - t) * c[-1 - t] for t in range(top + 1)]
+def _even_values(nu: int, ns: list[int]) -> Iterator[ExactValue]:
+    # a_{n, 2 nu} for the ascending ns >= 1.  With h = nu - 1/2 and q = (2h)^2, the
+    # polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)! is _binomial_sum(n, u, q)
+    # over 4^n n!, u[t] = t! (nu-1-t)! c[nu-1-t], t < nu.  For n >= nu, with m = n - nu,
+    # B_2p from T_(2p-1) and 1/((n-t-p)! (p-nu+t)!) = C(m, n-t-p)/m!, the Bernoulli
+    # correction times 4^n n! is 2 (-1)^nu n!/m! sum_t (-1)^t c[nu-1-t] [x^(n-t)] W,
+    # W = (1 + qx)^m F(x), F_p = T_(2p-1) (2-4^p) / (4^p (4^p-1)) as integers over
+    # their lcm L.  Only W's coefficients from x^(m+1) up are read, at this m and every
+    # later one, so w[i] holds that of x^(m+1+i): one step of m is one pass that drops
+    # w[0], and the correction is -2 n!/m! sum_i (-1)^i c[i] w[i] / L.
+    top = ns[-1]
+    c = k_table_even(nu, min(nu - 1, top))
+    u = [factorial(t) * factorial(nu - 1 - t) * c[-1 - t] for t in range(len(c))]
+    q = (2 * nu - 1) ** 2
+    scale = factorial(2 * nu - 1)
+    if top >= nu:
+        tangents = tangent_numbers(top)
+        f = [Fraction(tangents[p] * (2 - 4**p), 4**p * (4**p - 1)) for p in range(1, top + 1)]
+        lcm = math.lcm(*(fp.denominator for fp in f))
+        w = [fp.numerator * (lcm // fp.denominator) for fp in f]
+        signed_c = [-ci if i % 2 else ci for i, ci in enumerate(c)]
+        m = 0
+    for n in ns:
+        total = _binomial_sum(n, u, q)
+        if n < nu:
+            yield ExactValue(Fraction(total, 4**n * factorial(n) * scale), 0)
+            continue
+        for _ in range(n - nu - m):
+            w = [hi + q * lo for lo, hi in zip(w, w[1:])]
+        m = n - nu
+        correction = 2 * math.perm(n, nu) * sum(map(operator.mul, signed_c, w))
+        yield ExactValue(Fraction(total * lcm - correction, 4**n * factorial(n) * scale * lcm), 0)
 
 
 def heat_invariant_even(n: int, nu: int) -> ExactValue:
@@ -172,65 +200,14 @@ def heat_invariant_even(n: int, nu: int) -> ExactValue:
 
     The correction is empty when nu > n; its sign convention makes this route
     agree with the general route exactly (the ledger is
-    opercalc.check_bernoulli_link).  With B_2p from T_(2p-1) and
-    1/((n-t-p)! (p-nu+t)!) = C(n-nu, n-t-p)/(n-nu)!, each p is one integer sum,
-    and the binomial theorem gives all of them as one polynomial's coefficients.
-    `heat_invariant_row` regroups the same correction to share it along a row.
+    opercalc.check_bernoulli_link).  It is one integer sum over the K-table and
+    the coefficients of (1 + (2nu-1)^2 x)^(n-nu) F(x), where F carries the
+    Bernoulli numbers over one common denominator; a row steps that
+    polynomial along n, and a cell is the row at one n.
     """
     if n < 1 or nu < 1:
         raise ValueError(f"need n >= 1 and nu >= 1, got n={n}, nu={nu}")
-    c, poly = _even_poly(nu, n)
-    q = (2 * nu - 1) ** 2  # (2h)^2
-    total = Fraction(_binomial_sum(n, poly, q), 4**n * factorial(n))
-    if n >= nu:
-        m = n - nu
-        # With j = n-p-t, sum_t (-1)^t C(m, j) q^j c[nu-1-t] is the x^(n-p)
-        # coefficient of (1 + qx)^m sum_t (-1)^t c[nu-1-t] x^t: m steps of
-        # multiplying by 1 + qx give every p's integer sum at once.
-        inner = [-c[nu - 1 - t] if t % 2 else c[nu - 1 - t] for t in range(nu)]
-        for _ in range(m):
-            inner.append(0)
-            inner = [lo + q * hi for lo, hi in zip(inner, [0] + inner)]
-        tangents = tangent_numbers(n)
-        correction = Fraction(0)
-        for p in range(1, n + 1):
-            correction += Fraction(inner[n - p] * tangents[p] * (2 - 4**p), 4**p * (4**p - 1))
-        sign = -1 if nu % 2 else 1
-        total += sign * 2 * correction / (4**n * factorial(m))
-    return ExactValue(total / factorial(2 * nu - 1), 0)
-
-
-def _even_correction(c: list[int], top: int) -> tuple[list[int], int]:
-    # The cell's correction regrouped by r = p + t, for every n <= top at once:
-    # F_p = L T_(2p-1) (2-4^p) / (4^p (4^p-1)) over the lcm L of those denominators,
-    # G_r = sum_t (-1)^t c[nu-1-t] F_(r-t) for r = nu..top.  Returns (G, L).
-    nu = len(c)
-    tangents = tangent_numbers(top)
-    fractions = [Fraction(tangents[p] * (2 - 4**p), 4**p * (4**p - 1)) for p in range(1, top + 1)]
-    lcm = math.lcm(*(f.denominator for f in fractions))
-    f_ints = [0] + [f.numerator * (lcm // f.denominator) for f in fractions]
-    signed_c = [-c[nu - 1 - t] if t % 2 else c[nu - 1 - t] for t in range(nu)]
-    g = [sum(ct * f_ints[r - t] for t, ct in enumerate(signed_c)) for r in range(nu, top + 1)]
-    return g, lcm
-
-
-def _even_row(nu: int, top: int) -> Callable[[int], ExactValue]:
-    # a_n 4^n n! (2nu-1)! is the polynomial part plus, for n >= nu,
-    # 2 sign n!/(n-nu)! / L * sum_r C(n-nu, r-nu) G_r q^(n-r), q = (2nu-1)^2:
-    # a second Cauchy product with e^(qt), of the series G.
-    c, poly = _even_poly(nu, top)
-    q = (2 * nu - 1) ** 2
-    g, lcm = _even_correction(c, top) if top >= nu else ([], 1)
-    scale = factorial(2 * nu - 1)
-    sign = -1 if nu % 2 else 1
-
-    def value(n: int) -> ExactValue:
-        total = _binomial_sum(n, poly, q)
-        if n < nu:
-            return ExactValue(Fraction(total, 4**n * factorial(n) * scale), 0)
-        total = total * lcm + 2 * sign * math.perm(n, nu) * _binomial_sum(n - nu, g, q)
-        return ExactValue(Fraction(total, 4**n * factorial(n) * scale * lcm), 0)
-
+    (value,) = _even_values(nu, [n])
     return value
 
 
@@ -285,7 +262,7 @@ def heat_invariant(
     if formula not in ("auto", "general", "odd", "even", "closed"):
         raise ValueError(f"unknown formula {formula!r}")
     if omega is not None and formula not in ("auto", "general"):
-        raise ValueError(f"omega is only meaningful for the general route, not {formula!r}")
+        raise ValueError(f"omega is incompatible with formula {formula!r}; it is the general route's")
 
     if n == 0:
         return HeatInvariantResult(n, d, None, "weyl", weyl_leading_term(d))
@@ -314,30 +291,25 @@ def heat_invariant_row(ns: Iterable[int], d: int) -> list[HeatInvariantResult]:
     """[heat_invariant(n, d) for n in ns], with the d-dependent work done once.
 
     At fixed d both parity routes are a Cauchy product of e^(rho^2 t),
-    rho = (d-1)/2, with an n-independent series (Cahn-Wolf): the K-table,
-    that series and, for even d, the Bernoulli factors are built once up to
-    max(ns); then each requested n costs one Horner sum and one reduction.
-    Every n is validated before anything is computed.
+    rho = (d-1)/2, with an n-independent series (Cahn-Wolf).  The route's
+    kernel runs once over the distinct n in ascending order, the very kernel
+    a single cell runs, so the K-table and the series are built once up to
+    max(ns).  Every n is validated before anything is computed.
     """
     ns = list(ns)
     for n in ns:
         _check_cell(n, d)
-    top = max(ns, default=0)
-    if top == 0:
-        row = None  # every n is the Weyl term
-    elif d == 1:
-        row = lambda n: ExactValue(Fraction(0))  # alpha = 0: an empty sum, as in heat_invariant
+    distinct = sorted(set(ns) - {0})
+    if d == 1 or not distinct:
+        values = [ExactValue(Fraction(0))] * len(distinct)  # alpha = 0, as in heat_invariant
     elif d % 2:
-        row = _odd_row((d - 1) // 2, top)
+        values = _odd_values((d - 1) // 2, distinct)
     else:
-        row = _even_row(d // 2, top)
+        values = _even_values(d // 2, distinct)
     route = "odd" if d % 2 else "even"
-    return [
-        HeatInvariantResult(n, d, None, "weyl", weyl_leading_term(d))
-        if n == 0
-        else HeatInvariantResult(n, d, None, route, row(n))
-        for n in ns
-    ]
+    results = {n: HeatInvariantResult(n, d, None, route, v) for n, v in zip(distinct, values)}
+    results[0] = HeatInvariantResult(0, d, None, "weyl", weyl_leading_term(d))
+    return [results[n] for n in ns]
 
 
 def verify_crosscheck(

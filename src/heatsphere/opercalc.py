@@ -20,6 +20,7 @@ under each.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -166,8 +167,14 @@ def check_lemma(which: str, t: int, s: int, omega_prime: int) -> bool:
         factorial(2 * t)
         * pochhammer(t - s, s)
         / (2 * factorial(omega_prime + 1) * factorial(t))
-        * apply_to_monomial(invert_series(p_series(2 * t), 2 * t), 2 * t)
+        * _inverse_p_at_monomial(2 * t)
     )
+
+
+@functools.cache
+def _inverse_p_at_monomial(m: int) -> Rational:
+    """(1/P)(x^m) at x = 0, the series part of the ff2_e2 right side, once per m."""
+    return apply_to_monomial(invert_series(p_series(m), m), m)
 
 
 def _times(a: list[int], b: list[int]) -> list[int]:

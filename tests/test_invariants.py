@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import ExactValue
+from heatsphere.exactnum import ExactValue, bernoulli, factorial
 from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
@@ -300,3 +300,56 @@ def test_row_builds_its_k_table_once(d, monkeypatch, capsys):
     assert main(["compute", "--n", "0..32", "--d", str(d)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 33
     assert len(built) == (0 if d == 1 else 1)
+
+
+# Reference for the even route: the Bernoulli correction transcribed per p in
+# Fraction arithmetic, each term over its own factorials, with the K-table
+# expanded in Fractions from its roots b = 1/2, ..., nu - 3/2.  The module's
+# kernel steps lcm-scaled integers along n; the two must agree exactly.
+
+
+def reference_even(n, nu):
+    k = [Fraction(1)]  # K_t: coefficient of z^(2nu-2-2t) in prod_b (z^2 - b^2)
+    for i in range(nu - 1):
+        b2 = Fraction(2 * i + 1, 2) ** 2
+        k = [hi - b2 * lo for hi, lo in zip(k + [0], [0] + k)]
+    h2 = Fraction(2 * nu - 1, 2) ** 2
+    total = sum(
+        factorial(nu - 1 - t) * k[t] * h2 ** (n - t) / factorial(n - t) for t in range(min(n, nu - 1) + 1)
+    )
+    correction = Fraction(0)
+    for p in range(1, n + 1):
+        # (-1)^(p-1) B_2p (2 - 4^p) / (2p) = T_(2p-1) (2 - 4^p) / (4^p (4^p - 1))
+        bern = (-1) ** (p - 1) * bernoulli(2 * p) * (2 - 4**p) / (2 * p * 4**p)
+        for t in range(max(0, nu - p), min(nu - 1, n - p) + 1):
+            j = n - p - t
+            correction += (-1) ** t * k[t] * h2**j * bern / (factorial(j) * factorial(p + t - nu))
+    total += (-1) ** nu * 2 * correction
+    return ExactValue(total / factorial(2 * nu - 1), 0)
+
+
+def test_even_reference_matches_the_general_route():
+    for n, d in ((1, 2), (3, 2), (2, 4), (5, 4), (4, 6), (6, 8), (5, 10)):
+        assert reference_even(n, d // 2) == heat_invariant_general(n, d, 2 * n)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_even_kernel_equals_the_reference_on_tall_rows(d):
+    row = heat_invariant_row(range(1, 201), d)
+    assert [r.value for r in row] == [reference_even(n, d // 2) for n in range(1, 201)]
+    for n in (1, 2, 3, 97, 200):
+        assert heat_invariant_even(n, d // 2) == row[n - 1].value
+
+
+def test_even_kernel_equals_the_reference_on_a_wide_row():
+    ns = [170, 176, 177, 178, 203, 240]  # nu = 177: below, at and past nu
+    row = heat_invariant_row([240, 170, 178, 177, 203, 176, 178], 354)
+    expected = {n: reference_even(n, 177) for n in ns}
+    assert [r.value for r in row] == [expected[n] for n in (240, 170, 178, 177, 203, 176, 178)]
+    assert heat_invariant_even(203, 177) == expected[203]
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 7, 20])
+def test_even_kernel_equals_the_reference_around_nu(nu):
+    for n in {max(1, nu - 2), max(1, nu - 1), nu, nu + 1, nu + 5}:
+        assert heat_invariant_even(n, nu) == reference_even(n, nu)
