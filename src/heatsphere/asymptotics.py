@@ -102,7 +102,12 @@ def _partial_sum(row: list[HeatInvariantResult], t: float) -> float:
             coeff = float(result.value)
         except OverflowError:
             raise ValueError(f"a_(n,d) overflows a double at d={result.d}, n={result.n}") from None
-        acc += coeff * t ** (result.n - result.d / 2)
+        try:
+            acc += coeff * t ** (result.n - result.d / 2)
+        except OverflowError:
+            raise ValueError(
+                f"t^(n-d/2) overflows a double at d={result.d}, n={result.n}, t={t}"
+            ) from None
     return acc
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -58,7 +59,10 @@ def _parse_span(text: str) -> tuple[int, int]:
 def _parse_range(text: str) -> list[int]:
     """"3" -> [3]; "1..8" -> [1, 2, ..., 8]."""
     lo, hi = _parse_span(text)
-    return list(range(lo, hi + 1))
+    try:
+        return list(range(lo, hi + 1))
+    except OverflowError:  # longer than a list can be, raised before any allocation
+        raise argparse.ArgumentTypeError(f"range too long: {text!r}") from None
 
 
 def _parse_rationals(text: str) -> list[Fraction]:
@@ -191,17 +195,8 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     if not 0 <= args.max_dev < math.inf:
         raise ValueError(f"--max-dev must be finite and >= 0, got {args.max_dev}")
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
-    record = {
-        "d": estimate.d,
-        "n_terms": estimate.n_terms,
-        "t_values": list(estimate.t_values),
-        "observed_order": estimate.observed_order,
-        "expected_order": estimate.expected_order,
-        "relative_deviation": estimate.relative_deviation,
-        "status": estimate.status,
-    }
     with tolerate_closed_stdout():
-        print(json.dumps(record))
+        print(json.dumps(dataclasses.asdict(estimate)))
     if estimate.status == "ok" and estimate.relative_deviation > args.max_dev:
         return 1
     return 0
@@ -219,11 +214,7 @@ def _parser() -> argparse.ArgumentParser:
     compute.add_argument("--n", type=_parse_range, required=True, metavar="INT|LO..HI")
     compute.add_argument("--d", type=_parse_range, required=True, metavar="INT|LO..HI")
     compute.add_argument("--omega", type=int, default=None)
-    compute.add_argument(
-        "--formula",
-        choices=("auto", "general", "odd", "even", "closed"),
-        default="auto",
-    )
+    compute.add_argument("--formula", choices=invariants.FORMULAS, default="auto")
     compute.add_argument("--format", choices=("json", "csv"), default="json")
     compute.set_defaults(func=cmd_compute)
 

@@ -17,6 +17,7 @@ bound is itself one of the claims under test.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -34,12 +35,16 @@ __all__ = [
 ]
 
 
-def s1_sum(n: int, omega: int, x: Rational | int) -> Rational:
-    """Symmetrized double sum at rational x; zero whenever omega >= 2n."""
+def _check_n_omega(n: int, omega: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if omega < 0:
         raise ValueError(f"need omega >= 0, got {omega}")
+
+
+def s1_sum(n: int, omega: int, x: Rational | int) -> Rational:
+    """Symmetrized double sum at rational x; zero whenever omega >= 2n."""
+    _check_n_omega(n, omega)
     x = Fraction(x)
     b = x.denominator
     return omega_sum(omega, n, 1, _s1_inners(omega, n, x.numerator, b), b * b) / b ** (2 * n)
@@ -50,10 +55,7 @@ def s1_sum_one_sided(n: int, omega: int) -> Rational:
 
     (The k = 0 term is 0^(2j+2n) = 0, so symmetrizing exactly doubles.)
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if omega < 0:
-        raise ValueError(f"need omega >= 0, got {omega}")
+    _check_n_omega(n, omega)
     return omega_sum(omega, n, 1, _s1_inners(omega, n, 0, 1, one_sided=True))
 
 
@@ -72,10 +74,7 @@ def _s1_inners(omega: int, n: int, a: int, b: int, one_sided: bool = False) -> I
 def s3_sum(n: int, omega: int) -> ExactValue:
     """Left side of the three-sphere identity; equals s3_expected(n) for
     omega >= 2n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if omega < 0:
-        raise ValueError(f"need omega >= 0, got {omega}")
+    _check_n_omega(n, omega)
     front = gamma_half(2 * omega + 5)  # Gamma(omega + 5/2)
     return ExactValue(front.coeff * omega_sum(omega, n, 3, _s3_inners(omega, n)), front.pi_half)
 
@@ -114,91 +113,79 @@ def alternating_power_sum(j: int, s: int) -> int:
 _X_DEFAULT = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
 
 
+def _omega_grid(
+    name: str, n: tuple[int, int], offset: tuple[int, int], *labels: tuple[str, str]
+) -> tuple[VerificationReport, list[dict[str, int]]]:
+    """A sweep's empty report and its points {n, omega = 2n + offset}, omega < 0 skipped.
+
+    The n range is checked before any point is evaluated.
+    """
+    (n_lo, n_hi), (off_lo, off_hi) = n, offset
+    if n_lo < 1:
+        raise ValueError(f"need n >= 1, got {n_lo}..{n_hi}")
+    report = VerificationReport(
+        name, [("n", f"{n_lo}..{n_hi}"), ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}"), *labels]
+    )
+    points = [
+        {"n": k, "omega": 2 * k + off}
+        for k in range(n_lo, n_hi + 1)
+        for off in range(max(off_lo, -2 * k), off_hi + 1)
+    ]
+    return report, points
+
+
+def _s1(n=(1, 5), offset=(0, 4)) -> VerificationReport:
+    report, points = _omega_grid("s1", n, offset)
+    for point in points:
+        # below omega = 2n this fails, and the witness is the point:
+        # that is how the sharpness of the bound shows up here
+        one_sided = s1_sum_one_sided(**point)
+        report.record(point, one_sided, Fraction(0))
+        report.record({**point, "relation": "factor-2"}, s1_sum(**point, x=0), 2 * one_sided)
+    report.notes.append("symmetrized x = 0 sum checked against twice the one-sided sum")
+    return report
+
+
+def _s1g(n=(1, 5), offset=(0, 4), x=_X_DEFAULT) -> VerificationReport:
+    xs = tuple(map(Fraction, x))
+    report, points = _omega_grid("s1g", n, offset, ("x", ",".join(map(str, xs))))
+    for point in points:
+        for value in xs:
+            report.record({**point, "x": value}, s1_sum(**point, x=value), Fraction(0))
+    return report
+
+
+def _s3(n=(1, 5), offset=(0, 3)) -> VerificationReport:
+    report, points = _omega_grid("s3", n, offset)
+    for point in points:
+        report.record(point, s3_sum(**point), s3_expected(point["n"]))
+    return report
+
+
+def _vychet(j_max=10) -> VerificationReport:
+    report = VerificationReport("vychet", [("j", f"0..{j_max}"), ("s", "0..2j")])
+    for j in range(j_max + 1):
+        for s in range(2 * j):
+            report.record({"j": j, "s": s}, alternating_power_sum(j, s), 0)
+        report.record({"j": j, "s": 2 * j}, alternating_power_sum(j, 2 * j), factorial(2 * j))
+    return report
+
+
+# identity name -> its sweep; a sweep's keywords are its box, defaults included
+_SWEEPS = {"s1": _s1, "s1g": _s1g, "s3": _s3, "vychet": _vychet}
+
+
 def verify_identity(name: str, box: dict | None = None) -> VerificationReport:
     """Sweep one identity over a parameter box and report every witness.
 
-    Box keys (all optional):
-      s1 / s1g / s3: n=(lo, hi), offset=(lo, hi) with omega = 2n + offset;
-      s1g additionally x=<iterable of rationals>;
-      vychet: j_max=<int>.
+    Box keys (all optional) are the keywords of the sweep: s1, s1g and s3
+    take n=(lo, hi) and offset=(lo, hi) with omega = 2n + offset, s1g also
+    x=<iterable of rationals>; vychet takes j_max=<int>.
     """
-    box = dict(box or {})
-    if name == "s1":
-        n_lo, n_hi, off_lo, off_hi = _omega_box(box, (0, 4))
-        _reject_leftovers(name, box)
-        report = VerificationReport(
-            "s1", [("n", f"{n_lo}..{n_hi}"), ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}")]
-        )
-        for n in range(n_lo, n_hi + 1):
-            for off in range(off_lo, off_hi + 1):
-                omega = 2 * n + off
-                if omega < 0:
-                    continue
-                # below omega = 2n this fails, and the witness is the point:
-                # that is how the sharpness of the bound shows up here
-                one_sided = s1_sum_one_sided(n, omega)
-                report.record({"n": n, "omega": omega}, one_sided, Fraction(0))
-                report.record(
-                    {"n": n, "omega": omega, "relation": "factor-2"},
-                    s1_sum(n, omega, 0),
-                    2 * one_sided,
-                )
-        report.notes.append("symmetrized x = 0 sum checked against twice the one-sided sum")
-        return report
-    if name == "s1g":
-        n_lo, n_hi, off_lo, off_hi = _omega_box(box, (0, 4))
-        xs = tuple(Fraction(x) for x in box.pop("x", _X_DEFAULT))
-        _reject_leftovers(name, box)
-        report = VerificationReport(
-            "s1g",
-            [
-                ("n", f"{n_lo}..{n_hi}"),
-                ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}"),
-                ("x", ",".join(str(x) for x in xs)),
-            ],
-        )
-        for n in range(n_lo, n_hi + 1):
-            for off in range(off_lo, off_hi + 1):
-                omega = 2 * n + off
-                if omega < 0:
-                    continue
-                for x in xs:
-                    report.record({"n": n, "omega": omega, "x": x},
-                                  s1_sum(n, omega, x), Fraction(0))
-        return report
-    if name == "s3":
-        n_lo, n_hi, off_lo, off_hi = _omega_box(box, (0, 3))
-        _reject_leftovers(name, box)
-        report = VerificationReport(
-            "s3", [("n", f"{n_lo}..{n_hi}"), ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}")]
-        )
-        for n in range(n_lo, n_hi + 1):
-            for off in range(off_lo, off_hi + 1):
-                omega = 2 * n + off
-                if omega < 0:
-                    continue
-                report.record({"n": n, "omega": omega}, s3_sum(n, omega), s3_expected(n))
-        return report
-    if name == "vychet":
-        j_max = box.pop("j_max", 10)
-        _reject_leftovers(name, box)
-        report = VerificationReport("vychet", [("j", f"0..{j_max}"), ("s", "0..2j")])
-        for j in range(j_max + 1):
-            for s in range(2 * j):
-                report.record({"j": j, "s": s}, alternating_power_sum(j, s), 0)
-            report.record({"j": j, "s": 2 * j}, alternating_power_sum(j, 2 * j), factorial(2 * j))
-        return report
-    raise ValueError(f"unknown identity {name!r}; expected s1, s1g, s3 or vychet")
-
-
-def _omega_box(box: dict, offset: tuple[int, int]) -> tuple[int, int, int, int]:
-    """Pop n and offset; the n range is checked before any point is evaluated."""
-    n_lo, n_hi = box.pop("n", (1, 5))
-    if n_lo < 1:
-        raise ValueError(f"need n >= 1, got {n_lo}..{n_hi}")
-    return n_lo, n_hi, *box.pop("offset", offset)
-
-
-def _reject_leftovers(name: str, box: dict) -> None:
-    if box:
-        raise ValueError(f"unsupported box keys for {name!r}: {sorted(box)}")
+    if name not in _SWEEPS:
+        raise ValueError(f"unknown identity {name!r}; expected s1, s1g, s3 or vychet")
+    sweep, box = _SWEEPS[name], box or {}
+    unknown = sorted(set(box) - set(inspect.signature(sweep).parameters))
+    if unknown:
+        raise ValueError(f"unsupported box keys for {name!r}: {unknown}")
+    return sweep(**box)

@@ -33,6 +33,8 @@ from .spectrum import eigenvalue, multiplicity, weyl_leading_term
 from .verification import VerificationReport
 
 CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
+# the values of heat_invariant's `formula`: "auto" picks a route, the rest name one
+FORMULAS = ("auto", "general", "odd", "even", "closed")
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,7 @@ def heat_invariant(
     "auto" forces the general route; otherwise parity picks odd/even.
     """
     _check_cell(n, d)
-    if formula not in ("auto", "general", "odd", "even", "closed"):
+    if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
     if omega is not None and formula not in ("auto", "general"):
         raise ValueError(f"omega is incompatible with formula {formula!r}; it is the general route's")

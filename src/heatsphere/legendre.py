@@ -64,7 +64,7 @@ def gegenbauer_poly(k: int, d: int) -> Polynomial:
         q = gegenbauer_poly(i, d)
         # all inner products share the same pi_half per fixed d, so the
         # Gram-Schmidt ratio is plain rational
-        ratio = (weighted_integral(monomial * q, d) / weighted_integral(q * q, d)).as_rational()
+        ratio = (weighted_integral(monomial * q, d) / norm_squared(i, d)).as_rational()
         p = p - q * ratio
     return p * (Fraction(1) / p.evaluate(1))
 
@@ -81,9 +81,7 @@ def expansion_coeff(j: int, k: int, d: int) -> Rational:
     if k > j:
         return Fraction(0)
     q = gegenbauer_poly(k, d)
-    num = weighted_integral(ONE_MINUS_T**j * q, d)
-    den = weighted_integral(q * q, d)
-    return (num / den).as_rational()
+    return (weighted_integral(ONE_MINUS_T**j * q, d) / norm_squared(k, d)).as_rational()
 
 
 def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:

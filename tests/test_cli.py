@@ -140,6 +140,17 @@ def test_compute_bad_range_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("--n", "0..100000000000000000000", "--d", "3"),
+                                  ("--n", "1", "--d", "1..100000000000000000000")])
+def test_compute_range_longer_than_a_list_is_usage_error(argv):
+    # both lengths exceed ssize_t, so they fail before any allocation
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "compute", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "range too long" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "compute", "--n", "1", "--d", "2", "--bogus")
     assert code == 2
@@ -294,6 +305,18 @@ def test_asympt_coefficient_beyond_double_range_is_input_error():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: a_(n,d) overflows a double at d=2, n=296\n"
+
+
+@pytest.mark.parametrize("d, n_terms, t0, t", [(160, 5, "0.0002", "0.0001"), (400, 1, "0.01", "0.01")])
+def test_asympt_power_of_t_beyond_double_range_is_input_error(d, n_terms, t0, t):
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "asympt", "--d", str(d), "--n-terms", str(n_terms),
+         "--t0", t0],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: t^(n-d/2) overflows a double at d={d}, n=0, t={t}\n"
 
 
 def test_asympt_high_dimension_prints_a_verdict():

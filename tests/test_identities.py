@@ -154,6 +154,25 @@ def test_verify_vychet_passes():
     assert report.points_checked == sum(2 * j + 1 for j in range(11))
 
 
+@pytest.mark.parametrize("name, points", [("s1", 50), ("s1g", 100), ("s3", 20), ("vychet", 121)])
+def test_verify_default_boxes_keep_their_counts(name, points):
+    report = verify_identity(name)
+    assert report.passed and report.points_checked == points
+
+
+def test_verify_unknown_keys_are_all_named_sorted():
+    with pytest.raises(ValueError, match=r"unsupported box keys for 's1g': \['d', 'j_max', 'z'\]$"):
+        verify_identity("s1g", {"z": 1, "n": (1, 2), "j_max": 3, "d": 4})
+
+
+@pytest.mark.parametrize("func", [s1_sum_one_sided, s3_sum, lambda n, omega: s1_sum(n, omega, 0)])
+def test_sums_reject_n_below_one_and_negative_omega(func):
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        func(0, 3)
+    with pytest.raises(ValueError, match="need omega >= 0, got -1"):
+        func(1, -1)
+
+
 def test_verify_rejects_unknown_name_and_keys():
     with pytest.raises(ValueError):
         verify_identity("s2")
