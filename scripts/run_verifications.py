@@ -10,7 +10,7 @@ suite still runs, with its output discarded.
 import sys
 import time
 
-from heatsphere.asymptotics import remainder_order
+from heatsphere.asymptotics import MAX_DEVIATION, remainder_order
 from heatsphere.cli import SUITES, tolerate_closed_stdout
 
 
@@ -32,7 +32,7 @@ def main() -> int:
     for d in (2, 3, 5):
         for n_terms in (2, 3, 4):
             est = remainder_order(d, n_terms)
-            ok = est.status == "ok" and est.relative_deviation < 0.2
+            ok = est.status == "ok" and est.relative_deviation < MAX_DEVIATION
             status = "PASS" if ok else "FAIL"
             with tolerate_closed_stdout():
                 print(

@@ -20,6 +20,9 @@ from .spectrum import multiplicity
 
 DEFAULT_MAX_K = 1_000_000
 
+# the acceptance gate on an "ok" estimate's relative_deviation (`asympt --max-dev`)
+MAX_DEVIATION = 0.2
+
 # how many omitted coefficients to scan before declaring that the
 # remainder lies beyond every power of t (the circle case)
 _SCAN_DEPTH = 16

@@ -110,18 +110,12 @@ def _record_dict(result: invariants.HeatInvariantResult) -> dict:
 def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantResult]:
     """Every requested cell, n outer and d inner, all computed before any is printed.
 
-    Under the default dispatch each d is one row (`heat_invariant_row`), which
-    costs what its cells cost; the first invalid input raises the same error as
-    the cell-by-cell order would.
+    Each d is one row (`heat_invariant_row`, with the box's omega and formula),
+    which costs what its cells cost; the first invalid input raises the same
+    error as the cell-by-cell order would.
     """
-    if args.formula == "auto" and args.omega is None:
-        rows = [invariants.heat_invariant_row(args.n, d) for d in args.d]
-        return [row[i] for i in range(len(args.n)) for row in rows]
-    return [
-        invariants.heat_invariant(n, d, omega=args.omega, formula=args.formula)
-        for n in args.n
-        for d in args.d
-    ]
+    rows = [invariants.heat_invariant_row(args.n, d, args.omega, args.formula) for d in args.d]
+    return [result for cells in zip(*rows) for result in cells]
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -241,7 +235,7 @@ def _parser() -> argparse.ArgumentParser:
     asympt.add_argument("--d", type=int, required=True)
     asympt.add_argument("--n-terms", dest="n_terms", type=int, required=True)
     asympt.add_argument("--t0", type=float, default=0.05)
-    asympt.add_argument("--max-dev", dest="max_dev", type=float, default=0.2)
+    asympt.add_argument("--max-dev", dest="max_dev", type=float, default=asymptotics.MAX_DEVIATION)
     asympt.set_defaults(func=cmd_asympt)
 
     return parser

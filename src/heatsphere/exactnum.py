@@ -232,18 +232,17 @@ def pochhammer(t: Rational | int, m: int) -> Rational:
 
 
 def gamma_half(m: int) -> ExactValue:
-    """Gamma(m/2) for a positive integer m.
+    """Gamma(m/2) for a positive integer m, in closed form.
 
-    Gamma(1/2) = sqrt(pi) seeds the odd ladder and Gamma(1) = 1 the even
-    one; Gamma(z+1) = z*Gamma(z) climbs down.  pi_half is 1 iff m is odd.
+    Gamma(k) = (k-1)! for even m = 2k, and Gamma(k+1/2) = (2k)!/(4^k k!) sqrt(pi)
+    for odd m = 2k+1.  pi_half is 1 iff m is odd.
     """
     if m <= 0:
         raise ValueError(f"gamma_half needs a positive integer, got {m}")
-    coeff = Fraction(1)
-    while m > 2:
-        m -= 2
-        coeff *= Fraction(m, 2)
-    return ExactValue(coeff, 1 if m == 1 else 0)
+    k = m // 2
+    if m % 2 == 0:
+        return ExactValue(Fraction(math.factorial(k - 1)), 0)
+    return ExactValue(Fraction(math.perm(2 * k, k), 4**k), 1)
 
 
 # _tangents[k] = T_(2k-1), from tan z = sum T_(2k-1) z^(2k-1)/(2k-1)!, with a

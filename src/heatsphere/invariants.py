@@ -242,75 +242,63 @@ def heat_invariant_closed(n: int, d: int) -> ExactValue:
     return ExactValue(Fraction(3) ** (2 * n - 6) * poly / (640 * factorial(n)), 1)
 
 
-def _check_cell(n: int, d: int) -> None:
-    if isinstance(n, bool) or isinstance(d, bool):
-        raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-
-
 def heat_invariant(
     n: int, d: int, omega: int | None = None, formula: str = "auto"
 ) -> HeatInvariantResult:
-    """Dispatcher over the routes; records which one ran.
+    """One cell: the row of one, `heat_invariant_row([n], d, omega, formula)`."""
+    (result,) = heat_invariant_row([n], d, omega, formula)
+    return result
 
-    n = 0 always resolves to the Weyl term (no formula covers it), taking
-    precedence over both `omega` and `formula`.  An explicit omega under
-    "auto" forces the general route; otherwise parity picks odd/even.
+
+def heat_invariant_row(
+    ns: Iterable[int], d: int, omega: int | None = None, formula: str = "auto"
+) -> list[HeatInvariantResult]:
+    """The dispatcher over the routes: [a_{n,d} for n in ns], recording which route ran.
+
+    Every n, the formula name and the omega/formula pairing are validated
+    before anything is computed.  n = 0 always resolves to the Weyl term (no
+    formula covers it), taking precedence over both `omega` and `formula`.
+    An explicit omega under "auto" forces the general route; otherwise parity
+    picks odd/even.  The route is chosen once, and its kernel runs once over
+    the distinct n >= 1, ascending: both parity routes are a Cauchy product
+    of e^(rho^2 t), rho = (d-1)/2, with an n-independent series (Cahn-Wolf),
+    so the K-table and the series are built once up to max(ns).
     """
-    _check_cell(n, d)
+    ns = list(ns)
+    for n in ns:
+        if isinstance(n, bool) or isinstance(d, bool):
+            raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        if d < 1:
+            raise ValueError(f"dimension must be positive, got {d}")
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
     if omega is not None and formula not in ("auto", "general"):
         raise ValueError(f"omega is incompatible with formula {formula!r}; it is the general route's")
 
-    if n == 0:
-        return HeatInvariantResult(n, d, None, "weyl", weyl_leading_term(d))
-
-    if formula == "general" or (formula == "auto" and omega is not None):
-        w = 2 * n if omega is None else omega
-        return HeatInvariantResult(n, d, w, "general", heat_invariant_general(n, d, w))
-    if formula == "closed":
-        return HeatInvariantResult(n, d, None, "closed", heat_invariant_closed(n, d))
-    if formula == "odd" and d % 2 == 0:
-        raise ValueError(f"odd route needs odd d, got {d}")
-    if formula == "even" and d % 2 == 1:
-        raise ValueError(f"even route needs even d, got {d}")
-
-    if d % 2 == 1:
-        if d == 1:
-            # alpha = 0 leaves an empty sum: every a_{n,1} with n >= 1 is 0
-            return HeatInvariantResult(n, d, None, "odd", ExactValue(Fraction(0)))
-        value = heat_invariant_odd(n, (d - 1) // 2)
-        return HeatInvariantResult(n, d, None, "odd", value)
-    value = heat_invariant_even(n, d // 2)
-    return HeatInvariantResult(n, d, None, "even", value)
-
-
-def heat_invariant_row(ns: Iterable[int], d: int) -> list[HeatInvariantResult]:
-    """[heat_invariant(n, d) for n in ns], with the d-dependent work done once.
-
-    At fixed d both parity routes are a Cauchy product of e^(rho^2 t),
-    rho = (d-1)/2, with an n-independent series (Cahn-Wolf).  The route's
-    kernel runs once over the distinct n in ascending order, the very kernel
-    a single cell runs, so the K-table and the series are built once up to
-    max(ns).  Every n is validated before anything is computed.
-    """
-    ns = list(ns)
-    for n in ns:
-        _check_cell(n, d)
     distinct = sorted(set(ns) - {0})
-    if d == 1 or not distinct:
-        values = [ExactValue(Fraction(0))] * len(distinct)  # alpha = 0, as in heat_invariant
-    elif d % 2:
-        values = _odd_values((d - 1) // 2, distinct)
+    omegas = [None] * len(distinct)
+    if formula == "general" or omega is not None:
+        route = "general"
+        omegas = [2 * n if omega is None else omega for n in distinct]
+        values = [heat_invariant_general(n, d, w) for n, w in zip(distinct, omegas)]
+    elif formula == "closed":
+        route = "closed"
+        values = [heat_invariant_closed(n, d) for n in distinct]
     else:
-        values = _even_values(d // 2, distinct)
-    route = "odd" if d % 2 else "even"
-    results = {n: HeatInvariantResult(n, d, None, route, v) for n, v in zip(distinct, values)}
-    results[0] = HeatInvariantResult(0, d, None, "weyl", weyl_leading_term(d))
+        route = "odd" if d % 2 else "even"
+        if distinct and formula not in ("auto", route):
+            raise ValueError(f"{formula} route needs {formula} d, got {d}")
+        if d == 1:
+            values = [ExactValue(Fraction(0))] * len(distinct)  # alpha = 0: an empty sum
+        elif d % 2:
+            values = _odd_values((d - 1) // 2, distinct)
+        else:
+            values = _even_values(d // 2, distinct)
+    results = {n: HeatInvariantResult(n, d, w, route, v) for n, w, v in zip(distinct, omegas, values)}
+    if 0 in ns:
+        results[0] = HeatInvariantResult(0, d, None, "weyl", weyl_leading_term(d))
     return [results[n] for n in ns]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heatsphere.cli import SUITES, _parse_range, _parser, _record_dict, main
+from heatsphere.cli import SUITES, _parser, _record_dict, main
 from heatsphere.invariants import heat_invariant
 
 
@@ -62,22 +62,46 @@ def test_compute_csv_shape(capsys):
     assert rows[4] == ["1", "2", "", "even", "1", "3", "0", "0.3333333333333333"]
 
 
-@pytest.mark.parametrize("n, d", [("5", "1..6"), ("0..3", "7..9"), ("0..6", "1..12")])
-def test_compute_prints_what_the_cell_path_prints(capsys, n, d):
-    code, out, _ = run_cli(capsys, "compute", "--n", n, "--d", d)
+@pytest.mark.parametrize(
+    "box",
+    [
+        ("5", "1..6"),
+        ("0..3", "7..9"),
+        ("0..6", "1..12"),
+        ("0..4", "1..9", "--omega", "9"),
+        ("0..4", "1..9", "--formula", "general"),
+        ("0..4", "2..3", "--formula", "closed"),
+        ("0..6", "9", "--formula", "odd"),
+        ("0..6", "4", "--formula", "even"),
+    ],
+    ids="-".join,
+)
+def test_compute_prints_what_the_cell_path_prints(capsys, box):
+    n, d, *flags = box
+    code, out, _ = run_cli(capsys, "compute", "--n", n, "--d", d, *flags)
     assert code == 0
+    args = _parser().parse_args(["compute", "--n", n, "--d", d, *flags])
     expected = [
-        json.dumps(_record_dict(heat_invariant(n_, d_)))
-        for n_ in _parse_range(n)
-        for d_ in _parse_range(d)
+        json.dumps(_record_dict(heat_invariant(n_, d_, omega=args.omega, formula=args.formula)))
+        for n_ in args.n
+        for d_ in args.d
     ]
     assert out.splitlines() == expected
 
 
 def test_compute_invalid_cell_prints_nothing(capsys):
-    code, out, err = run_cli(capsys, "compute", "--n", "0..3", "--d", "0..2")
-    assert code == 2 and out == ""
-    assert "dimension must be positive" in err
+    boxes = {
+        ("--n", "0..3", "--d", "0..2"): "dimension must be positive, got 0",
+        ("--formula", "closed", "--n", "0..3", "--d", "1..8"): (
+            "no closed form for d=4; supported: 1, 2, 3, 5, 7"
+        ),
+        ("--formula", "odd", "--n", "0..3", "--d", "1..3"): "odd route needs odd d, got 2",
+        ("--omega", "3", "--n", "0..3", "--d", "3..4"): "omega=3 below the validity bound 2n=4",
+    }
+    for argv, message in boxes.items():
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_compute_magnitude_of_tiny_and_zero_values(capsys):

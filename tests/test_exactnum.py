@@ -91,7 +91,7 @@ def test_gamma_half_rejects_nonpositive():
         gamma_half(0)
 
 
-@given(st.integers(min_value=1, max_value=80))
+@given(st.integers(min_value=1, max_value=2000))
 def test_gamma_half_recurrence(m):
     # Gamma(m/2 + 1) = (m/2) Gamma(m/2)
     assert gamma_half(m + 2) == gamma_half(m) * Fraction(m, 2)

@@ -143,8 +143,18 @@ def test_dispatcher_general_defaults_to_minimal_omega():
 
 
 def test_dispatcher_weyl_takes_precedence_at_zero():
-    res = heat_invariant(0, 3, omega=7)
-    assert res.route == "weyl" and res.omega_used is None
+    # n = 0 comes before every route check, in a cell and in a row
+    cells = [
+        heat_invariant(0, 3, omega=7),
+        heat_invariant(0, 2, formula="odd"),
+        heat_invariant(0, 3, formula="even"),
+        heat_invariant(0, 4, formula="closed"),
+        heat_invariant(0, 5, formula="general"),
+        heat_invariant(0, 3, omega=-5),
+    ]
+    for res in cells + heat_invariant_row([0, 0], 4, formula="closed"):
+        assert res.route == "weyl" and res.omega_used is None
+        assert res.value == weyl_leading_term(res.d)
 
 
 def test_dispatcher_validation():
