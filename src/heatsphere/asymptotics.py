@@ -53,14 +53,23 @@ class RemainderEstimate:
     status: str  # "ok", "inconclusive" or "beyond-all-orders"
 
 
-def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
-    """Direct sum of mu_{k,d} e^(-t k(k+d-1)) with a certified tail cutoff.
+def _tail_within(d: int, t: float, k: int, bound: float) -> bool:
+    # The stopping rule: the tail from index k, bounded through mu <= (2k+d)^d and the
+    # decreasing term ratio rho(k), lies below exp(bound); compared in log space, so it
+    # cannot overflow.  -log1p(-rho) >= 0, so an envelope above the bound fails it early.
+    log_envelope = d * math.log(2 * k + d) - t * k * (k + d - 1)
+    if log_envelope > bound:
+        return False
+    rho = math.exp(-t * (2 * k + d)) * ((2 * k + d + 2) / (2 * k + d)) ** d
+    return rho < 1 and log_envelope - math.log1p(-rho) <= bound
 
-    The tail from index k is bounded through mu <= (2k+d)^d and the
-    decreasing term ratio rho(k); summation stops once that bound drops
-    below rel_tol of the partial sum; it is compared in log space, so it
-    cannot overflow.  mu_k steps by the exact ratio (2k+d+1)(k+d-1) /
-    ((2k+d-1)(k+1)), making the loop linear.  Deterministic for fixed inputs.
+
+def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
+    """Direct sum of mu_{k,d} e^(-t k(k+d-1)), stopped once its tail is certified below rel_tol.
+
+    mu_k steps by the exact ratio (2k+d+1)(k+d-1) / ((2k+d-1)(k+1)).  Once no later
+    term can change the double, summing stops, and the tail bound alone picks the sum
+    or TruncationCapError, as adding every term would.  Deterministic for fixed inputs.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -69,23 +78,29 @@ def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     cap = _max_k()
-    acc = 1.0  # k = 0 term
-    k = 1
-    mu = multiplicity(1, d)
-    while True:
-        log_envelope = d * math.log(2 * k + d) - t * k * (k + d - 1)
-        rho = math.exp(-t * (2 * k + d)) * ((2 * k + d + 2) / (2 * k + d)) ** d
-        if rho < 1 and log_envelope - math.log1p(-rho) <= math.log(rel_tol * acc):
+    acc, k, mu = 1.0, 1, multiplicity(1, d)  # acc holds the k = 0 term
+    while k <= cap:
+        if _tail_within(d, t, k, math.log(rel_tol * acc)):
             return acc
-        if k > cap:
-            raise TruncationCapError(
-                f"needed more than {cap} terms at d={d}, t={t}; "
-                f"raise HEATSPHERE_MAX_K or increase t"
-            )
         # exp(log mu - t lambda) keeps huge multiplicities inside float range
-        acc += math.exp(math.log(mu) - t * k * (k + d - 1))
-        mu = mu * (2 * k + d + 1) * (k + d - 1) // ((2 * k + d - 1) * (k + 1))
+        term = math.exp(math.log(mu) - t * k * (k + d - 1))
+        up, down = (2 * k + d + 1) * (k + d - 1), (2 * k + d - 1) * (k + 1)
+        # Frozen once term <= ulp(acc)/4 and the term ratio up/down e^(-t(2k+d)) is < 1: that
+        # ratio falls with k (up/down does, or is 1 at d = 1), so no later term passes this one
+        # by more than exp's rounding, each stays below ulp(acc)/2, and acc + term rounds to acc.
+        if term <= math.ulp(acc) / 4 and up / down * math.exp(-t * (2 * k + d)) < 1:
+            break
+        acc += term
+        mu = mu * up // down
         k += 1
+    # acc is final; the rule decides on k+1..cap+1, and cap + 1 (the likeliest) goes first
+    bound = math.log(rel_tol * acc)
+    later = range(k + 1, cap + 1)
+    if _tail_within(d, t, cap + 1, bound) or any(_tail_within(d, t, j, bound) for j in later):
+        return acc
+    raise TruncationCapError(
+        f"needed more than {cap} terms at d={d}, t={t}; raise HEATSPHERE_MAX_K or increase t"
+    )
 
 
 def asymptotic_sum(d: int, t: float, n_terms: int) -> float:

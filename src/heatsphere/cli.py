@@ -242,6 +242,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+: str() of a valid
+        sys.set_int_max_str_digits(0)  # coefficient may pass the default 4300 digits
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -84,13 +84,25 @@ def k_table_even(nu: int, top: int | None = None) -> list[int]:
     return _expand_even_product([(2 * i + 1) ** 2 for i in range(nu - 1)], top)
 
 
+def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
+    # Core of the general route: heat_invariant_general adds omega >= 2n, which the sharpness
+    # probe skips on purpose.  inner_j does not depend on omega: one pass serves every omega.
+    if n < 1:
+        raise ValueError(f"general route needs n >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    omegas = list(omegas)
+    inners = list(_general_inners(n, d, max(omegas)))
+    values = []
+    for omega in omegas:
+        front = gamma_half(2 * omega + d + 2)  # Gamma(omega + d/2 + 1)
+        total = omega_sum(omega, n, d, inners[: omega + 1])
+        values.append(ExactValue(2 * (-1) ** n * front.coeff * total, front.pi_half))
+    return values
+
+
 def _general_sum(n: int, d: int, omega: int) -> ExactValue:
-    # Unchecked core of the general route.  The sharpness probe calls this
-    # with omega = 2n - 1 on purpose; everyone else goes through
-    # heat_invariant_general, which enforces omega >= 2n.
-    front = gamma_half(2 * omega + d + 2)  # Gamma(omega + d/2 + 1)
-    total = omega_sum(omega, n, d, _general_inners(n, d, omega))
-    return ExactValue(2 * (-1) ** n * front.coeff * total, front.pi_half)
+    return _general_sums(n, d, [omega])[0]
 
 
 def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
@@ -113,10 +125,6 @@ def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
     """General-route value; requires omega >= 2n, where it is omega-independent."""
-    if n < 1:
-        raise ValueError(f"general route needs n >= 1, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
     if omega < 2 * n:
         raise ValueError(f"omega={omega} below the validity bound 2n={2 * n}")
     return _general_sum(n, d, omega)
@@ -329,13 +337,9 @@ def verify_omega_stability(
     )
     for d in range(d_lo, d_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            base = heat_invariant_general(n, d, 2 * n)
-            for omega in range(2 * n + 1, 3 * n + 5):
-                report.record(
-                    {"n": n, "d": d, "omega": omega},
-                    heat_invariant_general(n, d, omega),
-                    base,
-                )
+            base, *values = _general_sums(n, d, range(2 * n, 3 * n + 5))
+            for omega, value in enumerate(values, 2 * n + 1):
+                report.record({"n": n, "d": d, "omega": omega}, value, base)
     return report
 
 
@@ -347,8 +351,7 @@ def verify_sharpness(
         "sharpness", [("(n,d)", ",".join(f"({n},{d})" for n, d in points))]
     )
     for n, d in points:
-        below = _general_sum(n, d, 2 * n - 1)
-        at_bound = _general_sum(n, d, 2 * n)
+        below, at_bound = _general_sums(n, d, [2 * n - 1, 2 * n])
         report.record({"n": n, "d": d}, below != at_bound, True)
         if below != at_bound:
             report.notes.append(

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from heatsphere.asymptotics import (
     remainder_order,
 )
 from heatsphere.invariants import heat_invariant
+from heatsphere.spectrum import multiplicity
 
 
 def test_circle_trace_against_theta_limit():
@@ -152,3 +154,63 @@ def test_row_path_gives_the_cell_by_cell_floats(d):
         for t in (0.05, 0.01, 0.001):
             assert asymptotic_sum(d, t, n_terms) == cell_by_cell_sum(d, t, n_terms)
             assert remainder_order(d, n_terms, t) == cell_by_cell_remainder_order(d, n_terms, t)
+
+
+def plain_heat_trace(d, t, rel_tol=1e-12):
+    """heat_trace_numeric's loop before the frozen-sum exit: it adds every term up to
+    the cutoff.  Returns the sum and the last k whose term changed it."""
+    cap = int(os.environ.get("HEATSPHERE_MAX_K", "1000000"))
+    acc, k, mu, changed = 1.0, 1, multiplicity(1, d), 0
+    while True:
+        log_envelope = d * math.log(2 * k + d) - t * k * (k + d - 1)
+        rho = math.exp(-t * (2 * k + d)) * ((2 * k + d + 2) / (2 * k + d)) ** d
+        if rho < 1 and log_envelope - math.log1p(-rho) <= math.log(rel_tol * acc):
+            return acc, changed
+        if k > cap:
+            raise TruncationCapError(
+                f"needed more than {cap} terms at d={d}, t={t}; "
+                f"raise HEATSPHERE_MAX_K or increase t"
+            )
+        total = acc + math.exp(math.log(mu) - t * k * (k + d - 1))
+        changed = k if total != acc else changed
+        acc = total
+        mu = mu * (2 * k + d + 1) * (k + d - 1) // ((2 * k + d - 1) * (k + 1))
+        k += 1
+
+
+ORACLE_DIMENSIONS = [*range(1, 41), 77, 99, 129, 160, 200]
+ORACLE_TIMES = [1e-4 * 9000 ** (i / 11) for i in range(12)]  # log-spaced over [1e-4, 0.9]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+def test_trace_is_the_plain_loops_double(rel_tol):
+    for d in ORACLE_DIMENSIONS:
+        for t in ORACLE_TIMES:
+            assert heat_trace_numeric(d, t, rel_tol) == plain_heat_trace(d, t, rel_tol)[0]
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except TruncationCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cap", ["1", "5", "30", "100"])
+def test_trace_raises_or_returns_as_the_plain_loop(monkeypatch, cap):
+    monkeypatch.setenv("HEATSPHERE_MAX_K", cap)
+    for d in ORACLE_DIMENSIONS[::4]:
+        for t in ORACLE_TIMES[::2]:
+            plain = outcome(lambda *args: plain_heat_trace(*args)[0], d, t, 1e-13)
+            assert outcome(heat_trace_numeric, d, t, 1e-13) == plain
+
+
+def test_sum_frozen_before_the_cap_still_raises_at_the_cap(monkeypatch):
+    # at d = 200, t = 0.05 the sum stops changing within 30 terms, but the
+    # certified tail bound needs more than 30: the cap must still raise
+    assert plain_heat_trace(200, 0.05)[1] < 30
+    monkeypatch.setenv("HEATSPHERE_MAX_K", "30")
+    with pytest.raises(TruncationCapError, match="more than 30 terms"):
+        plain_heat_trace(200, 0.05)
+    with pytest.raises(TruncationCapError, match="more than 30 terms"):
+        heat_trace_numeric(200, 0.05)

@@ -132,6 +132,21 @@ def test_compute_beyond_double_range(n, d):
     assert record["log10_abs"] > 308
 
 
+def test_compute_prints_integers_past_the_default_digit_limit():
+    # a_(980,2) has more digits than str(int) allows by default (4300)
+    argv = [sys.executable, "-m", "heatsphere", "compute", "--n", "980", "--d", "2", "--format"]
+    procs = [
+        subprocess.Popen([*argv, fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for fmt in ("json", "csv")
+    ]
+    (json_out, json_err), (csv_out, csv_err) = (proc.communicate() for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0] and json_err == csv_err == ""
+    value = json.loads(json_out)["value"]
+    assert max(len(value["num"]), len(value["den"])) > 4300
+    (_, row) = csv.reader(io.StringIO(csv_out))
+    assert row[4:6] == [value["num"], value["den"]]
+
+
 def test_compute_csv_leaves_an_unrepresentable_float_empty(capsys):
     code, out, _ = run_cli(capsys, "compute", "--n", "295..296", "--d", "2", "--format", "csv")
     assert code == 0

@@ -9,6 +9,7 @@ from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
     _general_sum,
+    _general_sums,
     heat_invariant,
     heat_invariant_closed,
     heat_invariant_even,
@@ -227,6 +228,14 @@ def test_sharpness_below_bound():
         assert _general_sum(n, d, 2 * n - 1) != _general_sum(n, d, 2 * n)
     # verify_sharpness reads the general route's core directly, below its bound
     assert verify_sharpness(points).passed
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_inner_pass_serves_every_omega(n):
+    # omega = 2n - 1 included, where the value differs from the rest
+    omegas = range(2 * n - 1, 3 * n + 5)
+    for d in range(1, 7):
+        assert _general_sums(n, d, omegas) == [_general_sum(n, d, omega) for omega in omegas]
 
 
 def test_mckean_singer_oracle():
