@@ -10,6 +10,7 @@ series is a polynomial whose products drop every degree above an order.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Iterable
@@ -18,9 +19,10 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# sqrt(pi) to 60 decimal digits.  Converting coeff * SQRT_PI**pi_half to
-# float through Fraction keeps the final rounding to a single step, so the
-# double we hand out is the correctly rounded one (ties aside).
+# sqrt(pi) to 60 decimal digits.  float(ExactValue) is one integer division,
+# which Python rounds correctly: the double handed out is the one nearest
+# coeff * SQRT_PI**pi_half, which is the one nearest the true value unless that
+# lies within about 1e-60 (relative) of a halfway point between two doubles.
 SQRT_PI = Fraction("1.77245385090551602729816748334114518279754945612238712821381")
 
 
@@ -37,8 +39,9 @@ class ExactValue:
     pi_half: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.coeff == 0 and self.pi_half != 0:
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if self.pi_half != 0 and self.coeff == 0:
             object.__setattr__(self, "pi_half", 0)
 
     def __bool__(self) -> bool:
@@ -83,7 +86,18 @@ class ExactValue:
         return self.coeff
 
     def __float__(self) -> float:
-        return float(self.coeff * SQRT_PI**self.pi_half)
+        """The double nearest coeff * SQRT_PI**pi_half, or OverflowError beyond double range.
+
+        One int / int division, which Python rounds correctly: the unreduced
+        pair stands for the same rational as the reduced Fraction product, so
+        the double (and any overflow) is the one float() of that product gives.
+        """
+        num, den, k = self.coeff.numerator, self.coeff.denominator, self.pi_half
+        if k > 0:
+            return num * SQRT_PI.numerator**k / (den * SQRT_PI.denominator**k)
+        if k < 0:
+            return num * SQRT_PI.denominator**-k / (den * SQRT_PI.numerator**-k)
+        return num / den
 
     def __str__(self) -> str:
         if self.pi_half == 0:
@@ -263,6 +277,17 @@ def tangent_numbers(count: int) -> list[int]:
                     table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
             _tangents[:] = table
         return _tangents[: count + 1]
+
+
+@functools.lru_cache(maxsize=1)
+def bernoulli_series(top: int) -> tuple[int, tuple[int, ...]]:
+    """(L, w): F_p = T_(2p-1) (2-4^p) / (4^p (4^p-1)) for p = 1..top as the integers
+    w[p-1] = L F_p over the lcm L of their denominators.  The even route's rows all
+    read one top, so the last top's series is kept; a new top is built afresh."""
+    tangents = tangent_numbers(top)
+    f = [Fraction(tangents[p] * (2 - 4**p), 4**p * (4**p - 1)) for p in range(1, top + 1)]
+    lcm = math.lcm(*(fp.denominator for fp in f))
+    return lcm, tuple(fp.numerator * (lcm // fp.denominator) for fp in f)
 
 
 def bernoulli(m: int) -> Rational:

@@ -23,11 +23,11 @@ from .exactnum import (
     ExactValue,
     Rational,
     bernoulli,
+    bernoulli_series,
     binomial,
     factorial,
     gamma_half,
     omega_sum,
-    tangent_numbers,
 )
 from .spectrum import eigenvalue, multiplicity, weyl_leading_term
 from .verification import VerificationReport
@@ -178,19 +178,17 @@ def _even_values(nu: int, ns: list[int]) -> Iterator[ExactValue]:
     # B_2p from T_(2p-1) and 1/((n-t-p)! (p-nu+t)!) = C(m, n-t-p)/m!, the Bernoulli
     # correction times 4^n n! is 2 (-1)^nu n!/m! sum_t (-1)^t c[nu-1-t] [x^(n-t)] W,
     # W = (1 + qx)^m F(x), F_p = T_(2p-1) (2-4^p) / (4^p (4^p-1)) as integers over
-    # their lcm L.  Only W's coefficients from x^(m+1) up are read, at this m and every
-    # later one, so w[i] holds that of x^(m+1+i): one step of m is one pass that drops
-    # w[0], and the correction is -2 n!/m! sum_i (-1)^i c[i] w[i] / L.
+    # their lcm L (bernoulli_series, which keeps them for the next row at this top).
+    # Only W's coefficients from x^(m+1) up are read, at this m and every later one,
+    # so w[i] holds that of x^(m+1+i): one step of m is one pass that drops w[0], and
+    # the correction is -2 n!/m! sum_i (-1)^i c[i] w[i] / L.
     top = ns[-1]
     c = k_table_even(nu, min(nu - 1, top))
     u = [factorial(t) * factorial(nu - 1 - t) * c[-1 - t] for t in range(len(c))]
     q = (2 * nu - 1) ** 2
     scale = factorial(2 * nu - 1)
     if top >= nu:
-        tangents = tangent_numbers(top)
-        f = [Fraction(tangents[p] * (2 - 4**p), 4**p * (4**p - 1)) for p in range(1, top + 1)]
-        lcm = math.lcm(*(fp.denominator for fp in f))
-        w = [fp.numerator * (lcm // fp.denominator) for fp in f]
+        lcm, w = bernoulli_series(top)
         signed_c = [-ci if i % 2 else ci for i, ci in enumerate(c)]
         m = 0
     for n in ns:

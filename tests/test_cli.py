@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -290,6 +291,18 @@ def test_verify_identity_output_is_pinned_below_and_above_the_bound(capsys, targ
     code, out, err = run_cli(capsys, "verify", target, "--offset=-3..4", "--format", fmt)
     assert code == 1 and err == ""
     assert out == VERIFY_OFFSETS[target][fmt]
+
+
+# sha256 of compute's stdout (float_value and log10_abs included), recorded when
+# float() still went through the Fraction product coeff * SQRT_PI**pi_half
+COMPUTE_DIGESTS = json.loads((Path(__file__).parent / "data" / "compute_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(COMPUTE_DIGESTS))
+def test_compute_output_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGESTS[command]
 
 
 def test_verify_unknown_target_is_usage_error(capsys):

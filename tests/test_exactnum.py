@@ -160,6 +160,21 @@ def test_exact_value_zero_normalizes():
     assert not ExactValue(Fraction(0), 3)
 
 
+@pytest.mark.parametrize("coeff", [3, 0.375, "3/7", Fraction(-6, 14)])
+def test_exact_value_coefficient_is_a_fraction(coeff):
+    value = ExactValue(coeff, 1)
+    assert type(value.coeff) is Fraction and value.coeff == Fraction(coeff)
+
+
+@pytest.mark.parametrize("fraction", [Fraction(-3, 7), Fraction(5), Fraction(0)])
+def test_exact_value_from_a_fraction_equals_its_int_pair(fraction):
+    kept = ExactValue(fraction, 2)
+    built = ExactValue(f"{fraction.numerator}/{fraction.denominator}", 2)
+    assert kept.coeff is fraction
+    assert kept == built and hash(kept) == hash(built)
+    assert kept.pi_half == (2 if fraction else 0)
+
+
 def test_exact_value_addition_rules():
     half_pi = ExactValue(Fraction(1, 2), 2)
     assert half_pi + half_pi == ExactValue(Fraction(1), 2)

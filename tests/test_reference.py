@@ -10,10 +10,12 @@ exactly.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from heatsphere.exactnum import bernoulli, bernoulli_series
 from heatsphere.invariants import heat_invariant, heat_invariant_row
 
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
@@ -41,3 +43,28 @@ def test_table_cells_by_rows():
 @pytest.mark.parametrize("n, d", cells("deep"))
 def test_deep_pool_cell(n, d):
     assert digest(heat_invariant(n, d).value) == REFERENCE["deep"][f"{n},{d}"]
+
+
+def fresh_bernoulli_series(top):
+    # F_p = (-1)^(p-1) B_2p (2 - 4^p) / (2p) over the lcm of its denominators
+    f = [(-1) ** (p - 1) * bernoulli(2 * p) * (2 - 4**p) / (2 * p) for p in range(1, top + 1)]
+    lcm = math.lcm(*(fp.denominator for fp in f))
+    return lcm, tuple(int(fp * lcm) for fp in f)
+
+
+def test_even_rows_and_a_taller_cell_share_the_cached_bernoulli_series():
+    def check_rows():
+        for d in range(2, 73, 2):
+            for result in heat_invariant_row(range(33), d):
+                assert digest(result.value) == REFERENCE["table"][f"{result.n},{d}"], (result.n, d)
+
+    def check_tall_cell():
+        assert digest(heat_invariant(240, 354).value) == REFERENCE["deep"]["240,354"]
+
+    check_rows()
+    check_tall_cell()
+    check_rows()
+    check_tall_cell()
+    for top in (1, 32, 240):
+        assert bernoulli_series(top) == fresh_bernoulli_series(top), top
+    assert bernoulli_series.cache_info().currsize == 1
