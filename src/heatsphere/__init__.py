@@ -16,7 +16,6 @@ from .exactnum import (
     factorial,
     gamma_half,
     pochhammer,
-    reciprocal_factorial,
 )
 from .invariants import (
     HeatInvariantResult,
@@ -60,7 +59,6 @@ __all__ = [
     "k_table_odd",
     "multiplicity",
     "pochhammer",
-    "reciprocal_factorial",
     "sphere_volume",
     "weyl_leading_term",
 ]

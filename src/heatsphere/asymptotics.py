@@ -23,6 +23,9 @@ DEFAULT_MAX_K = 1_000_000
 # the acceptance gate on an "ok" estimate's relative_deviation (`asympt --max-dev`)
 MAX_DEVIATION = 0.2
 
+# the larger of the two probe times t0 and t0/2 when none is given (`asympt --t0`)
+DEFAULT_T0 = 0.05
+
 # how many omitted coefficients to scan before declaring that the
 # remainder lies beyond every power of t (the circle case)
 _SCAN_DEPTH = 16
@@ -129,7 +132,7 @@ def _partial_sum(row: list[HeatInvariantResult], t: float) -> float:
     return acc
 
 
-def remainder_order(d: int, n_terms: int, t0: float = 0.05) -> RemainderEstimate:
+def remainder_order(d: int, n_terms: int, t0: float = DEFAULT_T0) -> RemainderEstimate:
     """Measure log2(R(t0)/R(t0/2)) against the first omitted exponent.
 
     R(t) is |heat_trace_numeric - asymptotic_sum|.  When every omitted

@@ -234,7 +234,7 @@ def _parser() -> argparse.ArgumentParser:
     asympt = sub.add_parser("asympt", help="numeric remainder-order cross-check")
     asympt.add_argument("--d", type=int, required=True)
     asympt.add_argument("--n-terms", dest="n_terms", type=int, required=True)
-    asympt.add_argument("--t0", type=float, default=0.05)
+    asympt.add_argument("--t0", type=float, default=asymptotics.DEFAULT_T0)
     asympt.add_argument("--max-dev", dest="max_dev", type=float, default=asymptotics.MAX_DEVIATION)
     asympt.set_defaults(func=cmd_asympt)
 
@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, asymptotics.TruncationCapError) as exc:
+    except (ValueError, OverflowError, asymptotics.TruncationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

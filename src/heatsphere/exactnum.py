@@ -4,8 +4,8 @@ Everything downstream of this module is computed over arbitrary-precision
 rationals.  Values carrying a half-integer power of pi are wrapped in
 :class:`ExactValue`, which tracks the exponent separately so that no
 irrational quantity is ever rounded before the caller asks for a float.
-:class:`Polynomial` is the one exact polynomial type; a truncated power
-series is a polynomial whose products drop every degree above an order.
+:class:`Polynomial` is the one exact polynomial type: its ring operations
+never truncate, so a caller that needs a cut power series cuts it itself.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class ExactValue:
 class Polynomial:
     """Polynomial with Fraction coefficients, index = degree, no trailing zeros.
 
-    `times` and `power` drop every degree above `order` when one is given,
-    which is all a truncated power series needs.
+    An exact ring: `+`, `-`, `*` (by a polynomial or a scalar) and `**` with a
+    nonnegative integer exponent, none of which drops a degree.
     """
 
     coefficients: tuple[Rational, ...]
@@ -151,45 +151,34 @@ class Polynomial:
         return self + other * -1
 
     def __mul__(self, other: Polynomial | Rational | int) -> Polynomial:
-        if isinstance(other, Polynomial):
-            return self.times(other)
-        c = Fraction(other)
-        return Polynomial(tuple(a * c for a in self.coefficients) if c else ())
-
-    __rmul__ = __mul__
-
-    def times(self, other: Polynomial, order: int | None = None) -> Polynomial:
-        """The product, without the degrees above `order` when one is given."""
+        if not isinstance(other, Polynomial):
+            c = Fraction(other)
+            return Polynomial(tuple(a * c for a in self.coefficients) if c else ())
         a, b = self.coefficients, other.coefficients
-        top = len(a) + len(b) - 2
-        if order is not None:
-            if order < 0:
-                raise ValueError(f"order must be nonnegative, got {order}")
-            top = min(top, order)
-        out = [Fraction(0)] * (top + 1)
-        for i, x in enumerate(a[: top + 1]):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b[: top + 1 - i]):
+                for j, y in enumerate(b, i):
                     if y:
-                        out[i + j] += x * y
+                        out[j] += x * y
         while out and not out[-1]:
             out.pop()
         return Polynomial(tuple(out))
 
-    def power(self, m: int, order: int | None = None) -> Polynomial:
-        """self^m by repeated squaring, each product cut at `order`."""
-        if m < 0 or (order is not None and order < 0):
-            raise ValueError(f"need power m >= 0 and order >= 0, got m={m}, order={order}")
+    __rmul__ = __mul__
+
+    def __pow__(self, m: int) -> Polynomial:
+        """self^m by repeated squaring, for m >= 0."""
+        if m < 0:
+            raise ValueError(f"need power m >= 0, got {m}")
         acc, base = Polynomial((Fraction(1),)), self
         while m:
             if m & 1:
-                acc = acc.times(base, order)
+                acc = acc * base
             m >>= 1
             if m:
-                base = base.times(base, order)
+                base = base * base
         return acc
-
-    __pow__ = power
 
 
 def factorial(m: int) -> int:
@@ -197,17 +186,6 @@ def factorial(m: int) -> int:
     if m < 0:
         raise ValueError(f"factorial of negative integer {m}")
     return math.factorial(m)
-
-
-def reciprocal_factorial(m: int) -> Rational:
-    """1/m! for m >= 0, and exactly 0 for m < 0.
-
-    The zero extension is the reciprocal-gamma convention; the coefficient
-    formulas rely on it to silently drop out-of-range terms.
-    """
-    if m < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(m))
 
 
 def omega_sum(omega: int, n: int, c: int, inners: Iterable[int], ratio: int = 1) -> Rational:

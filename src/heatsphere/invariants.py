@@ -231,7 +231,8 @@ def _closed_d2(n: int) -> Rational:
 def heat_invariant_closed(n: int, d: int) -> ExactValue:
     """One-line closed forms for d in {1, 2, 3, 5, 7}; n = 0 falls back to weyl."""
     if d not in CLOSED_FORM_DIMENSIONS:
-        raise ValueError(f"no closed form for d={d}; supported: 1, 2, 3, 5, 7")
+        supported = ", ".join(map(str, sorted(CLOSED_FORM_DIMENSIONS)))
+        raise ValueError(f"no closed form for d={d}; supported: {supported}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:

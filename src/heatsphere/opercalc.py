@@ -1,10 +1,11 @@
-"""Power series in the differentiation symbol D, as truncated polynomials.
+"""Power series in the differentiation symbol D, as polynomials.
 
 The series P(D) = 2 sinh(D/2) / D drives everything: its even coefficients
 are 1/(4^i (2i+1)!), its powers act on monomials through
 `apply_to_monomial`, and its multiplicative inverse carries the Bernoulli
-numbers.  A series is an `exactnum.Polynomial` cut at an order that each
-truncating call takes as an argument.  `terminating_2f1` evaluates
+numbers.  A series is an `exactnum.Polynomial`: `p_series` and
+`invert_series` stop at the order they are given, and the polynomial
+products themselves never truncate.  `terminating_2f1` evaluates
 hypergeometric sums whose argument may itself be a polynomial in D, which is
 how the vanishing mechanism (1 - P(D)^2)^(omega-n+1) = O(D^(2omega-2n+2))
 gets exercised literally.  `check_lemma` writes P(D) = Q(D^2)/N with integers

@@ -191,6 +191,19 @@ def test_compute_range_longer_than_a_list_is_usage_error(argv):
     assert "range too long" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("asympt", "--d", "3", "--n-terms", "100000000000000000000"),
+    ("compute", "--n", "0", "--d", "100000000000000000000"),
+    ("verify", "s1", "--n", "1", "--offset=100000000000000000000..100000000000000000000"),
+    ("verify", "crosscheck", "--n", "1", "--d", "100000000000000000000"),
+])
+def test_integer_flag_beyond_a_machine_size_is_input_error(argv):
+    # each value exceeds ssize_t inside the program, which raises OverflowError
+    proc = subprocess.run([sys.executable, "-m", "heatsphere", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "compute", "--n", "1", "--d", "2", "--bogus")
     assert code == 2

@@ -17,7 +17,6 @@ from heatsphere.exactnum import (
     factorial,
     gamma_half,
     pochhammer,
-    reciprocal_factorial,
     tangent_numbers,
 )
 
@@ -35,17 +34,6 @@ def test_factorial_values():
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         factorial(-1)
-
-
-def test_reciprocal_factorial_zero_extension():
-    assert reciprocal_factorial(3) == Fraction(1, 6)
-    assert reciprocal_factorial(-1) == 0
-    assert reciprocal_factorial(-4) == 0
-
-
-@given(st.integers(min_value=0, max_value=200))
-def test_reciprocal_factorial_inverts_factorial(m):
-    assert reciprocal_factorial(m) * factorial(m) == 1
 
 
 def test_binomial_values():
@@ -230,20 +218,27 @@ polynomials = st.lists(
 ).map(Polynomial.from_coefficients)
 
 
-def cut(p, order):
-    return Polynomial.from_coefficients(p.coefficients[: order + 1])
+@given(polynomials, polynomials, rationals)
+def test_product_evaluates_to_the_product_of_values(a, b, x):
+    product = a * b
+    assert product.evaluate(x) == a.evaluate(x) * b.evaluate(x)
+    # no degree is dropped, and no trailing zero is kept
+    assert product.coefficients[-1:] != (0,)
+    if a.coefficients and b.coefficients:
+        assert product.degree == a.degree + b.degree
 
 
-@given(polynomials, polynomials, st.integers(min_value=0, max_value=12), rationals)
-def test_times_is_the_product_without_the_degrees_above_order(a, b, order, x):
-    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
-    assert a.times(b, order) == cut(a * b, order)
-
-
-@given(polynomials, st.integers(min_value=0, max_value=5),
-       st.none() | st.integers(min_value=0, max_value=12))
-def test_power_is_repeated_truncated_product(a, m, order):
+@given(polynomials, st.integers(min_value=0, max_value=5))
+def test_power_is_repeated_product(a, m):
     acc = Polynomial((Fraction(1),))
     for _ in range(m):
-        acc = acc.times(a, order)
-    assert a.power(m, order) == acc
+        acc = acc * a
+    assert a**m == acc
+
+
+def test_power_rejects_negative_and_modular_exponents():
+    a = Polynomial.from_coefficients([1, 1])
+    with pytest.raises(ValueError):
+        a**-1
+    with pytest.raises(TypeError):
+        pow(a, 3, 2)

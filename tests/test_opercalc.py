@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import Polynomial, factorial, pochhammer, reciprocal_factorial
+from heatsphere.exactnum import Polynomial, factorial, pochhammer
 from heatsphere.opercalc import (
     apply_to_monomial,
     check_bernoulli_link,
@@ -23,33 +23,31 @@ def series(*coeffs):
     return Polynomial.from_coefficients(coeffs)
 
 
+def cut(p, order):
+    """p without its degrees above order."""
+    return Polynomial.from_coefficients(p.coefficients[: order + 1])
+
+
 def test_series_construction_and_truncation():
-    assert series(1, 2, 3, 4).times(ONE, 1).coefficients == (1, 2)
     # a cut that lands on a zero coefficient leaves no trailing zero
     assert p_series(5).degree == 4
-    assert series(0, 1).times(series(0, 1), 1) == series()
     with pytest.raises(ValueError):
         p_series(-1)
     with pytest.raises(ValueError):
         invert_series(ONE, -1)
-    with pytest.raises(ValueError):
-        series(1, 1).times(ONE, -1)
-    with pytest.raises(ValueError):
-        series(1, 1).power(0, -1)
 
 
 def test_series_ring_operations():
     a = series(1, 1)  # 1 + D
     b = series(1, -1)
-    assert a.times(b, 3).coefficients == (1, 0, -1)
+    assert (a * b).coefficients == (1, 0, -1)
     assert (a + b).coefficients == (2,)
     assert (a - a).coefficients == ()
-    assert a.power(3, 3).coefficients == (1, 3, 3, 1)
-    assert a.power(3, 2).coefficients == (1, 3, 3)
+    assert (a**3).coefficients == (1, 3, 3, 1)
     assert (a * Fraction(1, 2)).coefficients == (Fraction(1, 2), Fraction(1, 2))
     assert (2 * a).coefficients == (2, 2)
     with pytest.raises(ValueError):
-        a.power(-1)
+        a**-1
 
 
 def test_p_series_coefficients():
@@ -64,12 +62,12 @@ def test_p_series_coefficients():
 def test_invert_series_small():
     inv = invert_series(p_series(2), 2)
     assert inv.coefficients == (1, 0, Fraction(-1, 24))
-    assert p_series(2).times(inv, 2).coefficients == (1,)
+    assert (p_series(2) * inv).coefficients[:3] == (1, 0, 0)
 
 
 def test_invert_series_is_true_inverse():
     p = p_series(12)
-    assert p.times(invert_series(p, 12), 12) == ONE
+    assert cut(p * invert_series(p, 12), 12) == ONE
 
 
 def test_invert_rejects_zero_constant():
@@ -97,7 +95,7 @@ def test_apply_to_monomial():
     assert apply_to_monomial(series(0, 0, 1), 2) == 2
     assert apply_to_monomial(series(0, 0, 1), 3) == 0
     # P^2 = 1 + D^2/12 + ..., so acting on x^2 at 0 picks out 2!/12
-    p2 = p_series(4).times(p_series(4), 4)
+    p2 = p_series(4) * p_series(4)
     assert apply_to_monomial(p2, 2) == Fraction(1, 6)
     assert apply_to_monomial(p2, 0) == 1
     with pytest.raises(ValueError):
@@ -129,11 +127,10 @@ def test_terminating_2f1_series_argument():
 
 
 def test_vanishing_mechanism_order():
-    # (1 - P^2)^m starts exactly at D^(2m)
+    # (1 - P^2)^m starts exactly at D^(2m), on untruncated products
     for m in range(1, 6):
-        order = 2 * m + 4
-        q = ONE - p_series(order).times(p_series(order), order)
-        power = q.power(m, order)
+        p = p_series(2 * m + 4)
+        power = (ONE - p * p) ** m
         assert all(power.coefficient(i) == 0 for i in range(2 * m))
         assert power.coefficient(2 * m) == Fraction(-1, 12) ** m
 
@@ -204,17 +201,21 @@ def test_verify_lemmas_small_box():
 
 
 def reference_check_lemma(which, t, s, omega_prime):
-    """check_lemma transcribed in Fraction arithmetic: truncated powers of
-    the P series and one weight of reciprocal factorials per term."""
+    """check_lemma transcribed in Fraction arithmetic: powers of the P series
+    cut at D^(2t), and one weight of reciprocal factorials per term."""
+
+    def reciprocal_factorial(m):  # 1/m!, and 0 for m < 0
+        return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
+
     e = 0 if which == "ff1_bb" else 1
     order = 2 * t
     p = p_series(order)
-    p_squared = p.times(p, order)
+    p_squared = cut(p * p, order)
     total = Fraction(0)
-    power = p.power(e)
+    power = p**e
     for j in range(omega_prime + 1):
         if j:
-            power = power.times(p_squared, order)
+            power = cut(power * p_squared, order)
         weight = (
             reciprocal_factorial(omega_prime - j)
             * reciprocal_factorial(j + t - s)
