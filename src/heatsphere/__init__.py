@@ -12,10 +12,7 @@ from .exactnum import (
     ExactValue,
     Rational,
     bernoulli,
-    binomial,
-    factorial,
     gamma_half,
-    pochhammer,
 )
 from .invariants import (
     HeatInvariantResult,
@@ -45,9 +42,7 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "bernoulli",
-    "binomial",
     "eigenvalue",
-    "factorial",
     "gamma_half",
     "heat_invariant",
     "heat_invariant_closed",
@@ -58,7 +53,6 @@ __all__ = [
     "k_table_even",
     "k_table_odd",
     "multiplicity",
-    "pochhammer",
     "sphere_volume",
     "weyl_leading_term",
 ]

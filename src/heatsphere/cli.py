@@ -196,6 +196,15 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_machine_sized(args: argparse.Namespace) -> None:
+    """An integer flag or range end above sys.maxsize is an input error naming the flag."""
+    for dest, value in vars(args).items():
+        top = value[-1] if isinstance(value, (tuple, list)) and value else value  # spans ascend
+        if type(top) is int and top > sys.maxsize:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} {top} is above the largest supported integer {sys.maxsize}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -252,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
+        _check_machine_sized(args)
         return args.func(args)
     except (ValueError, OverflowError, asymptotics.TruncationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,9 @@ rationals.  Values carrying a half-integer power of pi are wrapped in
 irrational quantity is ever rounded before the caller asks for a float.
 :class:`Polynomial` is the one exact polynomial type: its ring operations
 never truncate, so a caller that needs a cut power series cuts it itself.
+
+It holds only what `math` and `fractions` lack: factorials, binomials and
+rising factorials are `math.factorial`, `math.comb`, `math.perm`, `math.prod`.
 """
 
 from __future__ import annotations
@@ -59,12 +62,6 @@ class ExactValue:
                 f"cannot add pi^({self.pi_half}/2) and pi^({other.pi_half}/2) terms"
             )
         return ExactValue(self.coeff + other.coeff, self.pi_half)
-
-    def __neg__(self) -> ExactValue:
-        return ExactValue(-self.coeff, self.pi_half)
-
-    def __sub__(self, other: ExactValue) -> ExactValue:
-        return self + (-other)
 
     def __mul__(self, other: ExactValue | Rational | int) -> ExactValue:
         if isinstance(other, ExactValue):
@@ -181,13 +178,6 @@ class Polynomial:
         return acc
 
 
-def factorial(m: int) -> int:
-    """m! for m >= 0."""
-    if m < 0:
-        raise ValueError(f"factorial of negative integer {m}")
-    return math.factorial(m)
-
-
 def omega_sum(omega: int, n: int, c: int, inners: Iterable[int], ratio: int = 1) -> Rational:
     """sum_j inner_j / (ratio^j (omega-j)! (j+n)! (2j+c)!) over j = 0..omega, 1/m! = 0 for m < 0,
     as one integer over ratio^omega omega! (omega+n)! (2omega+c)!; `inners` yields inner_j."""
@@ -201,26 +191,6 @@ def omega_sum(omega: int, n: int, c: int, inners: Iterable[int], ratio: int = 1)
             total += inner * scale * math.perm(2 * omega + c, 2 * (omega - j))
     denominator = math.factorial(omega) * math.factorial(omega + n) * math.factorial(2 * omega + c)
     return Fraction(total, ratio**omega * denominator)
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b), zero outside 0 <= b <= a.  Negative a is rejected."""
-    if a < 0:
-        raise ValueError(f"binomial with negative upper index {a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def pochhammer(t: Rational | int, m: int) -> Rational:
-    """Rising factorial (t)_m = t(t+1)...(t+m-1), with (t)_0 = 1."""
-    if m < 0:
-        raise ValueError(f"pochhammer with negative length {m}")
-    t = Fraction(t)
-    acc = Fraction(1)
-    for i in range(m):
-        acc *= t + i
-    return acc
 
 
 def gamma_half(m: int) -> ExactValue:

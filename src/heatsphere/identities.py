@@ -18,10 +18,11 @@ bound is itself one of the claims under test.
 from __future__ import annotations
 
 import inspect
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .exactnum import ExactValue, Rational, binomial, factorial, gamma_half, omega_sum
+from .exactnum import ExactValue, Rational, gamma_half, omega_sum
 from .verification import VerificationReport
 
 __all__ = [
@@ -63,7 +64,7 @@ def _s1_inners(omega: int, n: int, a: int, b: int, one_sided: bool = False) -> I
     # inner_j = sum_k (-1)^k C(2j, j+k) (a+kb)^(2j+2n) over k = -j..j, or 0..j one-sided
     for j in range(omega + 1):
         lo = 0 if one_sided else -j
-        inner, binom = 0, binomial(2 * j, j + lo)
+        inner, binom = 0, math.comb(2 * j, j + lo)
         for k in range(lo, j + 1):
             term = binom * (a + k * b) ** (2 * j + 2 * n)
             inner += -term if k % 2 else term
@@ -93,7 +94,7 @@ def _s3_inners(omega: int, n: int) -> Iterator[int]:
 def s3_expected(n: int) -> ExactValue:
     """Right side (-1)^(n+1) sqrt(pi) / (8 n!)."""
     sign = 1 if n % 2 else -1
-    return ExactValue(Fraction(sign, 8 * factorial(n)), 1)
+    return ExactValue(Fraction(sign, 8 * math.factorial(n)), 1)
 
 
 def alternating_power_sum(j: int, s: int) -> int:
@@ -105,7 +106,7 @@ def alternating_power_sum(j: int, s: int) -> int:
         raise ValueError(f"need j, s >= 0, got j={j}, s={s}")
     total = 0
     for p in range(2 * j + 1):
-        term = binomial(2 * j, p) * (p - j) ** s
+        term = math.comb(2 * j, p) * (p - j) ** s
         total += -term if p % 2 else term
     return total
 
@@ -167,7 +168,7 @@ def _vychet(j_max=10) -> VerificationReport:
     for j in range(j_max + 1):
         for s in range(2 * j):
             report.record({"j": j, "s": s}, alternating_power_sum(j, s), 0)
-        report.record({"j": j, "s": 2 * j}, alternating_power_sum(j, 2 * j), factorial(2 * j))
+        report.record({"j": j, "s": 2 * j}, alternating_power_sum(j, 2 * j), math.factorial(2 * j))
     return report
 
 

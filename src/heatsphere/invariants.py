@@ -24,8 +24,6 @@ from .exactnum import (
     Rational,
     bernoulli,
     bernoulli_series,
-    binomial,
-    factorial,
     gamma_half,
     omega_sum,
 )
@@ -46,13 +44,11 @@ class HeatInvariantResult:
     value: ExactValue
 
 
-def _expand_even_product(roots: list[int], top: int | None = None) -> list[int]:
-    # Ascending coefficients of prod (u - r) over the integer roots r, or only the
-    # top + 1 highest of them.  They are built from the top down, desc[k] being the
-    # coefficient of u^(len(roots) - k): the product is monic, so the top entries
-    # never read one below them, and a full-length desc just grows by one each step.
-    if top is None:
-        top = len(roots)
+def _expand_even_product(roots: Iterable[int], top: int) -> list[int]:
+    # Ascending coefficients of prod (u - r) over the N integer roots r, only the top + 1
+    # highest of them (all, for top >= N); a generator of roots keeps memory to top, not N.
+    # Built from the top down, desc[k] the coefficient of u^(N - k): the product is monic,
+    # so the top entries never read one below them, and a full desc grows by one a step.
     desc = [1]
     for r in roots:
         if len(desc) <= top:
@@ -69,7 +65,7 @@ def k_table_odd(alpha: int, top: int | None = None) -> list[int]:
     """
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return _expand_even_product([b * b for b in range(alpha)], top)
+    return _expand_even_product((b * b for b in range(alpha)), alpha if top is None else top)
 
 
 def k_table_even(nu: int, top: int | None = None) -> list[int]:
@@ -81,7 +77,8 @@ def k_table_even(nu: int, top: int | None = None) -> list[int]:
     """
     if nu < 1:
         raise ValueError(f"nu must be positive, got {nu}")
-    return _expand_even_product([(2 * i + 1) ** 2 for i in range(nu - 1)], top)
+    roots = ((2 * i + 1) ** 2 for i in range(nu - 1))
+    return _expand_even_product(roots, nu - 1 if top is None else top)
 
 
 def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
@@ -99,10 +96,6 @@ def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
         total = omega_sum(omega, n, d, inners[: omega + 1])
         values.append(ExactValue(2 * (-1) ** n * front.coeff * total, front.pi_half))
     return values
-
-
-def _general_sum(n: int, d: int, omega: int) -> ExactValue:
-    return _general_sums(n, d, [omega])[0]
 
 
 def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
@@ -127,7 +120,7 @@ def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
     """General-route value; requires omega >= 2n, where it is omega-independent."""
     if omega < 2 * n:
         raise ValueError(f"omega={omega} below the validity bound 2n={2 * n}")
-    return _general_sum(n, d, omega)
+    return _general_sums(n, d, [omega])[0]
 
 
 def _binomial_sum(n: int, u: list[int], x: int) -> int:
@@ -155,12 +148,12 @@ def _odd_values(alpha: int, ns: list[int]) -> Iterator[ExactValue]:
     top = min(ns[-1], alpha - 1)
     c = k_table_odd(alpha, top)
     u = [
-        factorial(k) * c[-1 - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
+        math.factorial(k) * c[-1 - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
         for k in range(top + 1)
     ]
-    scale = 4**alpha * factorial(2 * alpha)
+    scale = 4**alpha * math.factorial(2 * alpha)
     for n in ns:
-        yield ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * factorial(n)), 1)
+        yield ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * math.factorial(n)), 1)
 
 
 def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
@@ -184,9 +177,9 @@ def _even_values(nu: int, ns: list[int]) -> Iterator[ExactValue]:
     # the correction is -2 n!/m! sum_i (-1)^i c[i] w[i] / L.
     top = ns[-1]
     c = k_table_even(nu, min(nu - 1, top))
-    u = [factorial(t) * factorial(nu - 1 - t) * c[-1 - t] for t in range(len(c))]
+    u = [math.factorial(t) * math.factorial(nu - 1 - t) * c[-1 - t] for t in range(len(c))]
     q = (2 * nu - 1) ** 2
-    scale = factorial(2 * nu - 1)
+    scale = math.factorial(2 * nu - 1)
     if top >= nu:
         lcm, w = bernoulli_series(top)
         signed_c = [-ci if i % 2 else ci for i, ci in enumerate(c)]
@@ -194,13 +187,14 @@ def _even_values(nu: int, ns: list[int]) -> Iterator[ExactValue]:
     for n in ns:
         total = _binomial_sum(n, u, q)
         if n < nu:
-            yield ExactValue(Fraction(total, 4**n * factorial(n) * scale), 0)
+            yield ExactValue(Fraction(total, 4**n * math.factorial(n) * scale), 0)
             continue
         for _ in range(n - nu - m):
             w = [hi + q * lo for lo, hi in zip(w, w[1:])]
         m = n - nu
         correction = 2 * math.perm(n, nu) * sum(map(operator.mul, signed_c, w))
-        yield ExactValue(Fraction(total * lcm - correction, 4**n * factorial(n) * scale * lcm), 0)
+        denominator = 4**n * math.factorial(n) * scale * lcm
+        yield ExactValue(Fraction(total * lcm - correction, denominator), 0)
 
 
 def heat_invariant_even(n: int, nu: int) -> ExactValue:
@@ -224,8 +218,8 @@ def _closed_d2(n: int) -> Rational:
     total = Fraction(0)
     for r in range(n + 1):
         sign = -1 if r % 2 else 1
-        total += sign * binomial(n, r) * (2 - 4**r) * bernoulli(2 * r)
-    return total / (factorial(n) * 4**n)
+        total += sign * math.comb(n, r) * (2 - 4**r) * bernoulli(2 * r)
+    return total / (math.factorial(n) * 4**n)
 
 
 def heat_invariant_closed(n: int, d: int) -> ExactValue:
@@ -242,11 +236,11 @@ def heat_invariant_closed(n: int, d: int) -> ExactValue:
     if d == 2:
         return ExactValue(_closed_d2(n))
     if d == 3:
-        return ExactValue(Fraction(1, 4 * factorial(n)), 1)
+        return ExactValue(Fraction(1, 4 * math.factorial(n)), 1)
     if d == 5:
-        return ExactValue(Fraction(4) ** (n - 3) * (6 - n) / (3 * factorial(n)), 1)
+        return ExactValue(Fraction(4) ** (n - 3) * (6 - n) / (3 * math.factorial(n)), 1)
     poly = 16 * n * n - 286 * n + 1215
-    return ExactValue(Fraction(3) ** (2 * n - 6) * poly / (640 * factorial(n)), 1)
+    return ExactValue(Fraction(3) ** (2 * n - 6) * poly / (640 * math.factorial(n)), 1)
 
 
 def heat_invariant(

@@ -10,10 +10,11 @@ reconstruction of (1 - t)^j itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ExactValue, Polynomial, Rational, factorial, gamma_half
+from .exactnum import ExactValue, Polynomial, Rational, gamma_half
 from .spectrum import multiplicity, sphere_volume
 from .verification import VerificationReport
 
@@ -97,7 +98,7 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
     if d < 2:
         raise ValueError(f"weight needs d >= 2, got {d}")
     sign = -1 if k % 2 else 1
-    front = Fraction(sign * 2**j * factorial(j), factorial(j - k) * factorial(j + k + d - 1))
+    front = Fraction(sign * 2**j * math.perm(j, k), math.factorial(j + k + d - 1))  # j!/(j-k)!
     four_pi = ExactValue(Fraction(2) ** d, d)  # (4 pi)^(d/2)
     value = gamma_half(2 * j + d) * front * four_pi * multiplicity(k, d) / sphere_volume(d)
     return value.as_rational()

@@ -25,7 +25,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactnum import Polynomial, Rational, bernoulli, factorial, omega_sum, pochhammer
+from .exactnum import Polynomial, Rational, bernoulli, omega_sum
 from .verification import VerificationReport
 
 
@@ -35,7 +35,7 @@ def p_series(order: int) -> Polynomial:
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs = [Fraction(0)] * (order // 2 * 2 + 1)
     for i in range(order // 2 + 1):
-        coeffs[2 * i] = Fraction(1, 4**i * factorial(2 * i + 1))
+        coeffs[2 * i] = Fraction(1, 4**i * math.factorial(2 * i + 1))
     return Polynomial(tuple(coeffs))
 
 
@@ -56,7 +56,7 @@ def apply_to_monomial(s: Polynomial, m: int) -> Rational:
     """(s(D) x^m) evaluated at x = 0, i.e. m! times the D^m coefficient."""
     if m < 0:
         raise ValueError(f"monomial degree must be nonnegative, got {m}")
-    return factorial(m) * s.coefficient(m)
+    return math.factorial(m) * s.coefficient(m)
 
 
 def terminating_2f1(a, b, c, z):
@@ -119,7 +119,7 @@ def check_bernoulli_link(t_max: int = 8) -> VerificationReport:
     report = VerificationReport("bernoulli-link", [("t", f"1..{t_max}")])
     inverse = invert_series(p_series(2 * t_max), 2 * t_max)
     for t in range(1, t_max + 1):
-        computed = factorial(2 * t) * inverse.coefficient(2 * t)
+        computed = math.factorial(2 * t) * inverse.coefficient(2 * t)
         b = bernoulli(2 * t)
         expected = 2 * (b / 4**t - b / 2)
         report.record({"t": t}, computed, expected)
@@ -161,15 +161,13 @@ def check_lemma(which: str, t: int, s: int, omega_prime: int) -> bool:
         powers.append(_times(powers[-1], q_squared))
     inners = [(-1) ** j * math.factorial(2 * j + 2 * t + e) * qp[t] for j, qp in enumerate(powers)]
     total = omega_sum(omega_prime, t - s, 1 + e, inners, big_n * big_n)
-    total = total * factorial(2 * t) / big_n**e
+    total = total * math.factorial(2 * t) / big_n**e
     if which == "ff1_bb":
         return total == 0
-    return total == (
-        factorial(2 * t)
-        * pochhammer(t - s, s)
-        / (2 * factorial(omega_prime + 1) * factorial(t))
-        * _inverse_p_at_monomial(2 * t)
-    )
+    rising = math.prod(range(t - s, t))  # (t-s)_s, an int: the Fraction keeps `/` exact
+    return total == Fraction(
+        math.factorial(2 * t) * rising, 2 * math.factorial(omega_prime + 1) * math.factorial(t)
+    ) * _inverse_p_at_monomial(2 * t)
 
 
 @functools.cache

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exactnum import ExactValue, factorial, gamma_half
+from .exactnum import ExactValue, gamma_half
 
 
 def _check_dimension(d: int) -> None:
@@ -27,8 +28,8 @@ def multiplicity(k: int, d: int) -> int:
         raise ValueError(f"eigenvalue index must be nonnegative, got {k}")
     if k == 0:
         return 1
-    num = (2 * k + d - 1) * factorial(k + d - 2)
-    den = factorial(k) * factorial(d - 1)
+    num = (2 * k + d - 1) * math.factorial(k + d - 2)
+    den = math.factorial(k) * math.factorial(d - 1)
     q, r = divmod(num, den)
     assert r == 0, (k, d)
     return q

@@ -7,9 +7,10 @@ pinned here on purpose; loosening them is a contract change, not a fix.
 
 import time
 from fractions import Fraction
+from math import comb, factorial
 
 from heatsphere.asymptotics import remainder_order
-from heatsphere.exactnum import ExactValue, bernoulli, binomial, factorial
+from heatsphere.exactnum import ExactValue, bernoulli
 from heatsphere.identities import (
     alternating_power_sum,
     s1_sum,
@@ -18,7 +19,7 @@ from heatsphere.identities import (
     s3_sum,
 )
 from heatsphere.invariants import (
-    _general_sum,
+    _general_sums,
     heat_invariant,
     heat_invariant_even,
     heat_invariant_general,
@@ -67,7 +68,7 @@ def test_criterion_03_d2_bernoulli_form():
         total = Fraction(0)
         for r in range(n + 1):
             sign = -1 if r % 2 else 1
-            total += sign * binomial(n, r) * (2 - 4**r) * bernoulli(2 * r)
+            total += sign * comb(n, r) * (2 - 4**r) * bernoulli(2 * r)
         expected = ExactValue(total / (factorial(n) * 4**n))
         assert heat_invariant_even(n, 1) == expected
     assert heat_invariant_even(1, 1) == ExactValue(Fraction(1, 3))
@@ -98,7 +99,7 @@ def test_criterion_05_omega_stability_and_sharpness():
             for omega in range(2 * n + 1, 3 * n + 5):
                 assert heat_invariant_general(n, d, omega) == base
     for n, d in ((1, 1), (2, 1), (2, 3)):
-        assert _general_sum(n, d, 2 * n - 1) != _general_sum(n, d, 2 * n)
+        assert _general_sums(n, d, [2 * n - 1]) != [heat_invariant_general(n, d, 2 * n)]
     print("ACCEPTANCE 5 PASS: omega-stable on [2n, 3n+4] for n <= 6, d <= 8; sharp at 2n-1")
 
 

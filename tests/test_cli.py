@@ -191,17 +191,36 @@ def test_compute_range_longer_than_a_list_is_usage_error(argv):
     assert "range too long" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ("asympt", "--d", "3", "--n-terms", "100000000000000000000"),
-    ("compute", "--n", "0", "--d", "100000000000000000000"),
-    ("verify", "s1", "--n", "1", "--offset=100000000000000000000..100000000000000000000"),
-    ("verify", "crosscheck", "--n", "1", "--d", "100000000000000000000"),
-])
-def test_integer_flag_beyond_a_machine_size_is_input_error(argv):
-    # each value exceeds ssize_t inside the program, which raises OverflowError
-    proc = subprocess.run([sys.executable, "-m", "heatsphere", *argv], capture_output=True, text=True)
+BIG = "100000000000000000000"  # 10^20, above sys.maxsize
+OVERSIZED = [  # (argv, the flag its error names)
+    (("asympt", "--d", "3", "--n-terms", BIG), "--n-terms"),
+    (("compute", "--n", "0", "--d", BIG), "--d"),
+    (("verify", "s1", "--n", "1", f"--offset={BIG}..{BIG}"), "--offset"),
+    (("verify", "crosscheck", "--n", "1", "--d", BIG), "--d"),
+    (("asympt", "--d", BIG, "--n-terms", "2"), "--d"),
+    (("verify", "vychet", "--j-max", BIG), "--j-max"),
+    (("compute", "--n", "1", "--d", "3", "--omega", BIG), "--omega"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OVERSIZED, ids=[f"argv{i}" for i in range(len(OVERSIZED))])
+def test_integer_flag_beyond_a_machine_size_is_input_error(argv, flag):
+    # rejected before any work: the last three once ran for minutes (a K-table of 5e19
+    # roots, a sweep to j = 1e20, a general route to omega = 1e20)
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", *argv], capture_output=True, text=True, timeout=60
+    )
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {flag} {BIG} is above the largest supported integer {sys.maxsize}\n"
+
+
+def test_a_huge_negative_offset_still_runs():
+    # only the upper side is checked: omega = 2n + offset is clamped at 0 below
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "verify", "s1", "--n", "1", f"--offset=-{BIG}..0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout.startswith("FAIL s1:") and proc.stderr == ""
 
 
 def test_unknown_flag_is_usage_error(capsys):

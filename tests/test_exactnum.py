@@ -13,58 +13,13 @@ from heatsphere.exactnum import (
     ExactValue,
     Polynomial,
     bernoulli,
-    binomial,
-    factorial,
     gamma_half,
-    pochhammer,
     tangent_numbers,
 )
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == 2432902008176640000
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(4, 7) == 0
-    assert binomial(7, -1) == 0
-    assert binomial(30, 15) == 155117520
-
-
-def test_binomial_against_pascal_triangle():
-    # independent recurrence: row m from row m-1
-    row = [1]
-    for m in range(1, 31):
-        row = [1] + [row[i] + row[i + 1] for i in range(m - 1)] + [1]
-        assert row == [binomial(m, b) for b in range(m + 1)]
-
-
-def test_binomial_rejects_negative_upper():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
-
-
-def test_pochhammer_values():
-    assert pochhammer(Fraction(5, 2), 0) == 1
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(-2, 3) == 0
-
-
-@given(rationals, st.integers(min_value=0, max_value=30))
-def test_pochhammer_recurrence(t, m):
-    assert pochhammer(t, m + 1) == pochhammer(t, m) * (t + m)
 
 
 def test_gamma_half_values():

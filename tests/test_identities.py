@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import ExactValue, factorial, gamma_half
+from heatsphere.exactnum import ExactValue, gamma_half
 from heatsphere.identities import (
     alternating_power_sum,
     s1_sum,
@@ -13,7 +14,7 @@ from heatsphere.identities import (
     s3_sum,
     verify_identity,
 )
-from heatsphere.invariants import _general_sum
+from heatsphere.invariants import _general_sums
 
 
 def test_one_sided_vanishes_at_and_above_bound():
@@ -103,14 +104,14 @@ def test_circle_bridge_to_general_route():
             bridged = ExactValue(
                 4 * sgn * front.coeff * s1_sum_one_sided(n, omega), front.pi_half
             )
-            assert _general_sum(n, 1, omega) == bridged
+            assert _general_sums(n, 1, [omega]) == [bridged]
 
 
 def test_three_sphere_bridge_to_general_route():
     for n in range(1, 4):
         for omega in range(max(1, 2 * n - 1), 2 * n + 3):
             sgn = 1 if n % 2 else -1  # (-1)^(n+1)
-            assert _general_sum(n, 3, omega) == s3_sum(n, omega) * Fraction(2 * sgn)
+            assert _general_sums(n, 3, [omega]) == [s3_sum(n, omega) * Fraction(2 * sgn)]
 
 
 def test_verify_s1_default_box_passes():

@@ -1,14 +1,15 @@
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import ExactValue, bernoulli, factorial
+from heatsphere.exactnum import ExactValue, bernoulli
 from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
-    _general_sum,
     _general_sums,
     heat_invariant,
     heat_invariant_closed,
@@ -61,6 +62,22 @@ def test_k_table_top_is_the_top_of_the_full_table():
         for top in range(size + 2):
             assert k_table_odd(size, top) == odd[-1 - top:]
             assert k_table_even(size, top) == even[-1 - top:]
+
+
+@pytest.mark.parametrize("k_table, root_sum", [
+    (k_table_odd, lambda a: (a - 1) * a * (2 * a - 1) // 6),  # sum of b^2, b < alpha
+    (k_table_even, lambda nu: (nu - 1) * (2 * nu - 3) * (2 * nu - 1) // 3),  # of (2i+1)^2, i < nu-1
+])
+def test_k_table_memory_follows_top_not_the_dimension(k_table, root_sum):
+    # the roots are generated, never listed: a list of these 20000 roots alone took ~800 kB
+    tracemalloc.start()
+    try:
+        c = k_table(20_000, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+    assert len(c) == 3 and c[-1] == 1 and c[-2] == -root_sum(20_000)
 
 
 def test_k_table_validation():
@@ -225,7 +242,7 @@ def test_omega_stability_small_box():
 def test_sharpness_below_bound():
     points = ((1, 1), (2, 1), (2, 3), (3, 4), (4, 7), (5, 10))
     for n, d in points:
-        assert _general_sum(n, d, 2 * n - 1) != _general_sum(n, d, 2 * n)
+        assert _general_sums(n, d, [2 * n - 1]) != [heat_invariant_general(n, d, 2 * n)]
     # verify_sharpness reads the general route's core directly, below its bound
     assert verify_sharpness(points).passed
 
@@ -235,7 +252,7 @@ def test_one_inner_pass_serves_every_omega(n):
     # omega = 2n - 1 included, where the value differs from the rest
     omegas = range(2 * n - 1, 3 * n + 5)
     for d in range(1, 7):
-        assert _general_sums(n, d, omegas) == [_general_sum(n, d, omega) for omega in omegas]
+        assert _general_sums(n, d, omegas) == [_general_sums(n, d, [omega])[0] for omega in omegas]
 
 
 def test_mckean_singer_oracle():

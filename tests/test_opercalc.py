@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import Polynomial, factorial, pochhammer
+from heatsphere.exactnum import Polynomial
 from heatsphere.opercalc import (
     apply_to_monomial,
     check_bernoulli_link,
@@ -207,6 +208,12 @@ def reference_check_lemma(which, t, s, omega_prime):
     def reciprocal_factorial(m):  # 1/m!, and 0 for m < 0
         return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
 
+    def rising_factorial(x, m):  # (x)_m = x (x+1) ... (x+m-1), (x)_0 = 1
+        acc = Fraction(1)
+        for i in range(m):
+            acc *= x + i
+        return acc
+
     e = 0 if which == "ff1_bb" else 1
     order = 2 * t
     p = p_series(order)
@@ -228,7 +235,7 @@ def reference_check_lemma(which, t, s, omega_prime):
         return total == 0
     return total == (
         factorial(2 * t)
-        * pochhammer(t - s, s)
+        * rising_factorial(t - s, s)
         / (2 * factorial(omega_prime + 1) * factorial(t))
         * apply_to_monomial(invert_series(p, order), 2 * t)
     )
