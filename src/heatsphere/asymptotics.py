@@ -54,6 +54,7 @@ class RemainderEstimate:
     expected_order: float | None
     relative_deviation: float | None
     status: str  # "ok", "inconclusive" or "beyond-all-orders"
+    terms: tuple[int, ...]  # terms k >= 1 summed at each probe time reached, in t_values order
 
 
 def _tail_within(d: int, t: float, k: int, bound: float) -> bool:
@@ -67,12 +68,15 @@ def _tail_within(d: int, t: float, k: int, bound: float) -> bool:
     return rho < 1 and log_envelope - math.log1p(-rho) <= bound
 
 
-def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
+def heat_trace_numeric(
+    d: int, t: float, rel_tol: float = 1e-12, terms: list[int] | None = None
+) -> float:
     """Direct sum of mu_{k,d} e^(-t k(k+d-1)), stopped once its tail is certified below rel_tol.
 
     mu_k steps by the exact ratio (2k+d+1)(k+d-1) / ((2k+d-1)(k+1)).  Once no later
     term can change the double, summing stops, and the tail bound alone picks the sum
     or TruncationCapError, as adding every term would.  Deterministic for fixed inputs.
+    If `terms` is given, the number of terms k >= 1 the sum added is appended to it.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -80,19 +84,33 @@ def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
         raise ValueError(f"t must be positive, got {t}")
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    cap = _max_k()
+    total, added = _walk(d, t, rel_tol, _max_k())
+    if terms is not None:
+        terms.append(added)
+    return total
+
+
+def _walk(d: int, t: float, rel_tol: float, cap: int) -> tuple[float, int]:
+    """heat_trace_numeric's sum and the number of terms k >= 1 it added."""
+    # Neither stopping rule can hold at k while term_k > gate * acc, so both are tested
+    # only below it.  The tail from k holds term_k, and its bound takes mu_k <= (2k+d)^d / 1.5
+    # in the same float t * k * (k + d - 1): a passing tail means term_k <= rel_tol * acc.
+    # A frozen term is <= ulp(acc)/4 <= 2^-54 * acc, as acc >= 1.
+    gate = max(2 * rel_tol, 2**-53)
     acc, k, mu = 1.0, 1, multiplicity(1, d)  # acc holds the k = 0 term
     while k <= cap:
-        if _tail_within(d, t, k, math.log(rel_tol * acc)):
-            return acc
         # exp(log mu - t lambda) keeps huge multiplicities inside float range
         term = math.exp(math.log(mu) - t * k * (k + d - 1))
         up, down = (2 * k + d + 1) * (k + d - 1), (2 * k + d - 1) * (k + 1)
-        # Frozen once term <= ulp(acc)/4 and the term ratio up/down e^(-t(2k+d)) is < 1: that
-        # ratio falls with k (up/down does, or is 1 at d = 1), so no later term passes this one
-        # by more than exp's rounding, each stays below ulp(acc)/2, and acc + term rounds to acc.
-        if term <= math.ulp(acc) / 4 and up / down * math.exp(-t * (2 * k + d)) < 1:
-            break
+        if term <= gate * acc:
+            if _tail_within(d, t, k, math.log(rel_tol * acc)):
+                return acc, k - 1
+            # Frozen once term <= ulp(acc)/4 and the term ratio up/down e^(-t(2k+d)) is < 1:
+            # that ratio falls with k (up/down does, or is 1 at d = 1), so no later term passes
+            # this one by more than exp's rounding, each stays below ulp(acc)/2, and acc + term
+            # rounds to acc.
+            if term <= math.ulp(acc) / 4 and up / down * math.exp(-t * (2 * k + d)) < 1:
+                break
         acc += term
         mu = mu * up // down
         k += 1
@@ -100,7 +118,7 @@ def heat_trace_numeric(d: int, t: float, rel_tol: float = 1e-12) -> float:
     bound = math.log(rel_tol * acc)
     later = range(k + 1, cap + 1)
     if _tail_within(d, t, cap + 1, bound) or any(_tail_within(d, t, j, bound) for j in later):
-        return acc
+        return acc, k - 1
     raise TruncationCapError(
         f"needed more than {cap} terms at d={d}, t={t}; raise HEATSPHERE_MAX_K or increase t"
     )
@@ -150,17 +168,22 @@ def remainder_order(d: int, n_terms: int, t0: float = DEFAULT_T0) -> RemainderEs
     omitted = (n for n in range(n_terms + 1, n_terms + _SCAN_DEPTH) if heat_invariant(n, d).value)
     first = n_terms if row[-1].value else next(omitted, None)
     if first is None:
-        return RemainderEstimate(d, n_terms, t_values, 0.0, None, None, "beyond-all-orders")
+        return RemainderEstimate(d, n_terms, t_values, 0.0, None, None, "beyond-all-orders", ())
     expected = first - d / 2
 
-    remainders = []
+    remainders, terms = [], []
     for t in t_values:
-        trace = heat_trace_numeric(d, t, rel_tol=1e-13)
+        # through the public name, so that a wrapper put on it (a tracer) sees every sum
+        trace = heat_trace_numeric(d, t, rel_tol=1e-13, terms=terms)
         residual = abs(trace - _partial_sum(row[:-1], t))
         if residual <= _NOISE_FLOOR * abs(trace):
-            return RemainderEstimate(d, n_terms, t_values, 0.0, expected, None, "inconclusive")
+            return RemainderEstimate(
+                d, n_terms, t_values, 0.0, expected, None, "inconclusive", tuple(terms)
+            )
         remainders.append(residual)
 
     observed = math.log2(remainders[0] / remainders[1])
     deviation = abs(observed - expected) / abs(expected) if expected != 0 else abs(observed)
-    return RemainderEstimate(d, n_terms, t_values, observed, expected, deviation, "ok")
+    return RemainderEstimate(
+        d, n_terms, t_values, observed, expected, deviation, "ok", tuple(terms)
+    )

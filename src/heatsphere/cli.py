@@ -61,7 +61,8 @@ def _parse_range(text: str) -> list[int]:
     lo, hi = _parse_span(text)
     try:
         return list(range(lo, hi + 1))
-    except OverflowError:  # longer than a list can be, raised before any allocation
+    # longer than a list can be, or than memory can hold: raised before any element is made
+    except (OverflowError, MemoryError):
         raise argparse.ArgumentTypeError(f"range too long: {text!r}") from None
 
 

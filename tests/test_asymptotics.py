@@ -131,18 +131,19 @@ def cell_by_cell_remainder_order(d, n_terms, t0):
     t_values = (t0, t0 / 2)
     nonzero = [n for n in range(n_terms, n_terms + _SCAN_DEPTH) if heat_invariant(n, d).value]
     if not nonzero:
-        return RemainderEstimate(d, n_terms, t_values, 0.0, None, None, "beyond-all-orders")
+        return RemainderEstimate(d, n_terms, t_values, 0.0, None, None, "beyond-all-orders", ())
     expected = nonzero[0] - d / 2
-    remainders = []
+    remainders, terms = [], []
     for t in t_values:
-        trace = heat_trace_numeric(d, t, rel_tol=1e-13)
+        trace = heat_trace_numeric(d, t, rel_tol=1e-13, terms=terms)
         residual = abs(trace - cell_by_cell_sum(d, t, n_terms))
         if residual <= _NOISE_FLOOR * abs(trace):
-            return RemainderEstimate(d, n_terms, t_values, 0.0, expected, None, "inconclusive")
+            status = "inconclusive"
+            return RemainderEstimate(d, n_terms, t_values, 0.0, expected, None, status, (*terms,))
         remainders.append(residual)
     observed = math.log2(remainders[0] / remainders[1])
     deviation = abs(observed - expected) / abs(expected) if expected != 0 else abs(observed)
-    return RemainderEstimate(d, n_terms, t_values, observed, expected, deviation, "ok")
+    return RemainderEstimate(d, n_terms, t_values, observed, expected, deviation, "ok", (*terms,))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -157,36 +158,59 @@ def test_row_path_gives_the_cell_by_cell_floats(d):
 
 
 def plain_heat_trace(d, t, rel_tol=1e-12):
-    """heat_trace_numeric's loop before the frozen-sum exit: it adds every term up to
-    the cutoff.  Returns the sum and the last k whose term changed it."""
+    """heat_trace_numeric's loop before the frozen-sum exit and the gate: it tests the tail
+    at every k and adds every term up to the cutoff.  Returns the sum, the last k whose
+    term changed it, and the terms k >= 1 added before the first k where the tail or the
+    frozen-sum test holds (the count of a walk that tests both at every k)."""
     cap = int(os.environ.get("HEATSPHERE_MAX_K", "1000000"))
-    acc, k, mu, changed = 1.0, 1, multiplicity(1, d), 0
+    acc, k, mu, changed, frozen = 1.0, 1, multiplicity(1, d), 0, None
     while True:
         log_envelope = d * math.log(2 * k + d) - t * k * (k + d - 1)
         rho = math.exp(-t * (2 * k + d)) * ((2 * k + d + 2) / (2 * k + d)) ** d
         if rho < 1 and log_envelope - math.log1p(-rho) <= math.log(rel_tol * acc):
-            return acc, changed
+            return acc, changed, min(k, frozen or k) - 1
         if k > cap:
             raise TruncationCapError(
                 f"needed more than {cap} terms at d={d}, t={t}; "
                 f"raise HEATSPHERE_MAX_K or increase t"
             )
-        total = acc + math.exp(math.log(mu) - t * k * (k + d - 1))
-        changed = k if total != acc else changed
-        acc = total
-        mu = mu * (2 * k + d + 1) * (k + d - 1) // ((2 * k + d - 1) * (k + 1))
+        term = math.exp(math.log(mu) - t * k * (k + d - 1))
+        up, down = (2 * k + d + 1) * (k + d - 1), (2 * k + d - 1) * (k + 1)
+        ratio = up / down * math.exp(-t * (2 * k + d))
+        if frozen is None and term <= math.ulp(acc) / 4 and ratio < 1:
+            frozen = k
+        changed = k if acc + term != acc else changed
+        acc += term
+        mu = mu * up // down
         k += 1
 
 
 ORACLE_DIMENSIONS = [*range(1, 41), 77, 99, 129, 160, 200]
 ORACLE_TIMES = [1e-4 * 9000 ** (i / 11) for i in range(12)]  # log-spaced over [1e-4, 0.9]
+# the corner of the verify benchmark's asympt probes: large d at the smallest times
+VERIFY_CORNER = [(d, t) for d in range(150, 161) for t in (2e-4, 3e-4)]
 
 
-@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+# At 1e-17 the gate is 2^-53 * acc, not 2 * rel_tol * acc.  At d = 1, k = 1,
+# mu_k * 1.5 = (2k+d)^d: near t = log(3 / rel_tol) the tail first holds at k = 1
+# with term_1 closest to the gate, so a step of 0.05 in t crosses that point.
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13, 1e-6, 1e-17])
 def test_trace_is_the_plain_loops_double(rel_tol):
-    for d in ORACLE_DIMENSIONS:
-        for t in ORACLE_TIMES:
-            assert heat_trace_numeric(d, t, rel_tol) == plain_heat_trace(d, t, rel_tol)[0]
+    tight = [(d, math.log(3 / rel_tol) + i / 20) for d in (1, 2, 3) for i in range(-20, 30)]
+    points = [(d, t) for d in ORACLE_DIMENSIONS for t in ORACLE_TIMES] + VERIFY_CORNER + tight
+    for d, t in points:
+        terms = []
+        plain, _, stop = plain_heat_trace(d, t, rel_tol)
+        assert heat_trace_numeric(d, t, rel_tol, terms) == plain
+        # the gate skips no stop: the sum ends where testing both rules at every k ends it
+        assert terms == [stop]
+
+
+def test_tail_bound_dominates_the_multiplicity_by_half():
+    # the gate in heat_trace_numeric rests on mu_k * 1.5 <= (2k+d)^d for k >= 1
+    for d in [*range(1, 61), 99, 160, 200, 1001]:
+        for k in [*range(1, 61), 1000]:
+            assert 3 * multiplicity(k, d) <= 2 * (2 * k + d) ** d
 
 
 def outcome(function, *args):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -191,6 +192,21 @@ def test_compute_range_longer_than_a_list_is_usage_error(argv):
     assert "range too long" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_compute_range_longer_than_memory_is_usage_error():
+    # 10^18 + 1 cells fit ssize_t, but not the child's 1 GiB of address space:
+    # list() asks for the whole array at once and gets MemoryError, not a traceback
+    limit = 1 << 30
+    argv = ["compute", "--n", "0..1000000000000000000", "--d", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "range too long" in proc.stderr and "Traceback" not in proc.stderr
+
+
 BIG = "100000000000000000000"  # 10^20, above sys.maxsize
 OVERSIZED = [  # (argv, the flag its error names)
     (("asympt", "--d", "3", "--n-terms", BIG), "--n-terms"),
@@ -349,12 +365,16 @@ def test_asympt_ok(capsys):
     assert record["status"] == "ok"
     assert record["expected_order"] == 1.5
     assert record["relative_deviation"] < 0.2
+    # terms summed at t0 and at t0/2: the smaller time needs more
+    first, second = record["terms"]
+    assert 0 < first < second
 
 
 def test_asympt_circle(capsys):
     code, out, _ = run_cli(capsys, "asympt", "--d", "1", "--n-terms", "2")
     assert code == 0
-    assert json.loads(out)["status"] == "beyond-all-orders"
+    record = json.loads(out)
+    assert record["status"] == "beyond-all-orders" and record["terms"] == []
 
 
 def test_asympt_impossible_deviation_fails(capsys):
