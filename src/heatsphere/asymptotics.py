@@ -124,15 +124,6 @@ def _walk(d: int, t: float, rel_tol: float, cap: int) -> tuple[float, int]:
     )
 
 
-def asymptotic_sum(d: int, t: float, n_terms: int) -> float:
-    """Sum of float(a_{n,d}) t^(n - d/2) over n = 0..n_terms-1."""
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be positive, got {n_terms}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return _partial_sum(heat_invariant_row(range(n_terms), d), t)
-
-
 def _partial_sum(row: list[HeatInvariantResult], t: float) -> float:
     """sum of float(a_{n,d}) t^(n - d/2) over the row, in its order."""
     acc = 0.0
@@ -153,10 +144,10 @@ def _partial_sum(row: list[HeatInvariantResult], t: float) -> float:
 def remainder_order(d: int, n_terms: int, t0: float = DEFAULT_T0) -> RemainderEstimate:
     """Measure log2(R(t0)/R(t0/2)) against the first omitted exponent.
 
-    R(t) is |heat_trace_numeric - asymptotic_sum|.  When every omitted
-    coefficient vanishes (the circle) the status is "beyond-all-orders";
-    when the measured remainder sits below the numeric noise floor the
-    status is "inconclusive".  Neither is a failure.
+    R(t) is |heat_trace_numeric - sum of a_{n,d} t^(n - d/2) over n < n_terms|.
+    When every omitted coefficient vanishes (the circle) the status is
+    "beyond-all-orders"; when the measured remainder sits below the numeric
+    noise floor the status is "inconclusive".  Neither is a failure.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")

@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Three subcommands: `compute` emits coefficient records as JSON lines or
-CSV, `verify` runs one of the exact verification sweeps, `asympt` runs the
-numeric remainder-order cross-check.  Exit codes: 0 success, 1 a
-verification or deviation failure, 2 usage or input errors.
+CSV, or a markdown table with one row per n and one column per d
+(`compute --n 0..6 --d 1..8 --format markdown`); `verify` runs one of the
+exact verification sweeps, or with `verify all` every sweep at its default
+box and then the `asympt` probes; `asympt` runs the numeric remainder-order
+cross-check.  Exit codes: 0 success, 1 a verification or deviation
+failure, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -119,13 +122,26 @@ def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantR
     return [result for cells in zip(*rows) for result in cells]
 
 
+def _markdown_lines(
+    args: argparse.Namespace, results: list[invariants.HeatInvariantResult]
+) -> list[str]:
+    """One row per n and one column per d: the results (n outer, d inner) in chunks of len(d)."""
+    cells, width = [str(result.value) for result in results], len(args.d)
+    table = [["n \\ d", *map(str, args.d)]]
+    table += [[str(n), *cells[i * width : (i + 1) * width]] for i, n in enumerate(args.n)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    head, *body = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
+    return [head, "-|-".join("-" * w for w in widths), *body]
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
-    records = map(_record_dict, _compute_results(args))
+    results = _compute_results(args)
+    records = map(_record_dict, results)
     with tolerate_closed_stdout():
         if args.format == "json":
             for record in records:
                 print(json.dumps(record))
-        else:
+        elif args.format == "csv":
             # csv writes None as an empty field and a float as its repr
             writer = csv.writer(sys.stdout)
             writer.writerow(CSV_HEADER)
@@ -133,6 +149,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 [r["n"], r["d"], r["omega_used"], r["route"], *r["value"].values(), r["float_value"]]
                 for r in records
             )
+        else:
+            for line in _markdown_lines(args, results):
+                print(line)
     return 0
 
 
@@ -157,22 +176,24 @@ SUITES = {
 # the verify arguments that are not part of a sweep's box
 _NOT_BOX = ("command", "func", "target", "format")
 
+# (d, n_terms) of the asympt probes `verify all` runs after the suites, each at the default t0
+_PROBES = [(d, n_terms) for d in (2, 3, 5) for n_terms in (2, 3, 4)]
 
-def _run_verify(args: argparse.Namespace) -> VerificationReport:
-    runner, takes = SUITES[args.target]
+
+def _box(args: argparse.Namespace) -> dict:
+    """The sweep keywords given on the command line; `all` takes none."""
+    takes = SUITES[args.target][1] if args.target in SUITES else ()
     box = {k: v for k, v in vars(args).items() if v is not None and k not in _NOT_BOX}
     unknown = [f"--{flag.replace('_', '-')}" for flag in box if flag not in takes]
     if unknown:
         raise ValueError(f"verify {args.target} does not take {', '.join(unknown)}")
-    return runner(**box)
+    return box
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    report = _run_verify(args)
-    if report.points_checked == 0:
-        raise ValueError(f"verify {args.target}: the box holds no points")
+def _print_report(report: VerificationReport, fmt: str) -> None:
+    """One sweep's report as `verify <target>` prints it, in `verify all` too."""
     with tolerate_closed_stdout():
-        if args.format == "json":
+        if fmt == "json":
             print(json.dumps(report.as_dict()))
         else:
             box = ", ".join(f"{name} in {span}" for name, span in report.parameter_box)
@@ -183,6 +204,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  witness {params}: computed {witness.computed}, expected {witness.expected}")
             for note in report.notes:
                 print(f"  note: {note}")
+
+
+def _deviates(estimate: asymptotics.RemainderEstimate, max_dev: float) -> bool:
+    """An "ok" estimate whose deviation is above the gate; no other status has one."""
+    return estimate.status == "ok" and estimate.relative_deviation > max_dev
+
+
+def _verify_all(fmt: str) -> int:
+    """Every suite at its default box, then every probe; 1 if any of them fails."""
+    failed = 0
+    for runner, _ in SUITES.values():
+        report = runner()
+        _print_report(report, fmt)
+        failed += not report.passed
+    for d, n_terms in _PROBES:
+        estimate = asymptotics.remainder_order(d, n_terms)
+        passed = estimate.status == "ok" and not _deviates(estimate, asymptotics.MAX_DEVIATION)
+        with tolerate_closed_stdout():
+            if fmt == "json":
+                print(json.dumps(dataclasses.asdict(estimate)))
+            else:
+                print(
+                    f"{'PASS' if passed else 'FAIL'} asympt d={d} n_terms={n_terms}: "
+                    f"status={estimate.status} observed={estimate.observed_order:.4f} "
+                    f"expected={estimate.expected_order}"
+                )
+        failed += not passed
+    return 1 if failed else 0
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    box = _box(args)
+    if args.target == "all":
+        return _verify_all(args.format)
+    report = SUITES[args.target][0](**box)
+    if report.points_checked == 0:
+        raise ValueError(f"verify {args.target}: the box holds no points")
+    _print_report(report, args.format)
     return 0 if report.passed else 1
 
 
@@ -192,9 +251,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
     with tolerate_closed_stdout():
         print(json.dumps(dataclasses.asdict(estimate)))
-    if estimate.status == "ok" and estimate.relative_deviation > args.max_dev:
-        return 1
-    return 0
+    return 1 if _deviates(estimate, args.max_dev) else 0
 
 
 def _check_machine_sized(args: argparse.Namespace) -> None:
@@ -219,11 +276,13 @@ def _parser() -> argparse.ArgumentParser:
     compute.add_argument("--d", type=_parse_range, required=True, metavar="INT|LO..HI")
     compute.add_argument("--omega", type=int, default=None)
     compute.add_argument("--formula", choices=invariants.FORMULAS, default="auto")
-    compute.add_argument("--format", choices=("json", "csv"), default="json")
+    compute.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
     compute.set_defaults(func=cmd_compute)
 
-    verify = sub.add_parser("verify", help="run an exact verification sweep")
-    verify.add_argument("target", choices=list(SUITES))
+    verify = sub.add_parser(
+        "verify", help="run an exact verification sweep, or all of them and the asympt probes"
+    )
+    verify.add_argument("target", choices=[*SUITES, "all"])
     verify.add_argument("--n", type=_parse_span, default=None, metavar="INT|LO..HI")
     verify.add_argument("--d", type=_parse_span, default=None, metavar="INT|LO..HI")
     verify.add_argument(

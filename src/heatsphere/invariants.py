@@ -256,7 +256,7 @@ def heat_invariant_row(
 ) -> list[HeatInvariantResult]:
     """The dispatcher over the routes: [a_{n,d} for n in ns], recording which route ran.
 
-    Every n, the formula name and the omega/formula pairing are validated
+    d, every n, the formula name and the omega/formula pairing are validated
     before anything is computed.  n = 0 always resolves to the Weyl term (no
     formula covers it), taking precedence over both `omega` and `formula`.
     An explicit omega under "auto" forces the general route; otherwise parity
@@ -266,13 +266,15 @@ def heat_invariant_row(
     so the K-table and the series are built once up to max(ns).
     """
     ns = list(ns)
+    if isinstance(d, bool):
+        raise ValueError(f"n and d must be integers, not bool: d={d!r}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
     for n in ns:
-        if isinstance(n, bool) or isinstance(d, bool):
+        if isinstance(n, bool):
             raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        if d < 1:
-            raise ValueError(f"dimension must be positive, got {d}")
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
     if omega is not None and formula not in ("auto", "general"):

@@ -8,11 +8,11 @@ from heatsphere.asymptotics import (
     _SCAN_DEPTH,
     RemainderEstimate,
     TruncationCapError,
-    asymptotic_sum,
+    _partial_sum,
     heat_trace_numeric,
     remainder_order,
 )
-from heatsphere.invariants import heat_invariant
+from heatsphere.invariants import heat_invariant, heat_invariant_row
 from heatsphere.spectrum import multiplicity
 
 
@@ -73,17 +73,11 @@ def test_asymptotic_sum_values():
     # d = 2: a_0 = 1, a_1 = 1/3, a_2 = 1/15
     t = 0.2
     expected = (1 / t) * (1 + t / 3 + t * t / 15)
-    assert asymptotic_sum(2, t, 3) == pytest.approx(expected, rel=1e-15)
+    assert _partial_sum(heat_invariant_row(range(3), 2), t) == pytest.approx(expected, rel=1e-15)
     # d = 1 keeps only the Weyl term
-    assert asymptotic_sum(1, 0.1, 1) == pytest.approx(math.sqrt(math.pi / 0.1), rel=1e-15)
-    assert asymptotic_sum(1, 0.1, 5) == asymptotic_sum(1, 0.1, 1)
-
-
-def test_asymptotic_sum_validation():
-    with pytest.raises(ValueError):
-        asymptotic_sum(2, 0.1, 0)
-    with pytest.raises(ValueError):
-        asymptotic_sum(2, -0.1, 2)
+    weyl = _partial_sum(heat_invariant_row(range(1), 1), 0.1)
+    assert weyl == pytest.approx(math.sqrt(math.pi / 0.1), rel=1e-15)
+    assert _partial_sum(heat_invariant_row(range(5), 1), 0.1) == weyl
 
 
 def test_remainder_order_sphere():
@@ -153,7 +147,8 @@ def test_row_path_gives_the_cell_by_cell_floats(d):
     # (a_{6,5} = 0) run the scan past the row.
     for n_terms in range(1, 7):
         for t in (0.05, 0.01, 0.001):
-            assert asymptotic_sum(d, t, n_terms) == cell_by_cell_sum(d, t, n_terms)
+            row = heat_invariant_row(range(n_terms), d)
+            assert _partial_sum(row, t) == cell_by_cell_sum(d, t, n_terms)
             assert remainder_order(d, n_terms, t) == cell_by_cell_remainder_order(d, n_terms, t)
 
 

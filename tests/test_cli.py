@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from heatsphere import asymptotics, opercalc
 from heatsphere.cli import SUITES, _parser, _record_dict, main
 from heatsphere.invariants import heat_invariant
+from heatsphere.verification import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,18 @@ def test_compute_csv_shape(capsys):
     assert len(rows) == 10
     # spot row: a(1, 2) = 1/3, even route, no omega (n is the outer loop)
     assert rows[4] == ["1", "2", "", "even", "1", "3", "0", "0.3333333333333333"]
+
+
+def test_compute_markdown_shape(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--n", "1..4", "--d", "2..4", "--format", "markdown")
+    assert code == 0
+    head, rule, *rows = out.splitlines()
+    assert [cell.strip() for cell in head.split(" | ")] == ["n \\ d", "2", "3", "4"]
+    assert set(rule) == {"-", "|"} and len(rule) == len(head)
+    # one row per n and one column per d, each cell the exact value
+    assert [[cell.strip() for cell in row.split(" | ")] for row in rows] == [
+        [str(n), *(str(heat_invariant(n, d).value) for d in (2, 3, 4))] for n in range(1, 5)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -296,6 +310,7 @@ def test_verify_each_target_runs(capsys):
         (("s1", "--x", "1"), "--x"),
         (("vychet", "--n", "1"), "--n"),
         (("crosscheck", "--j-max", "2"), "--j-max"),
+        (("all", "--n", "3"), "--n"),
     ],
 )
 def test_verify_flag_the_target_does_not_take_is_usage_error(capsys, argv, flag):
@@ -351,6 +366,66 @@ def test_compute_output_is_pinned(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGESTS[command]
+
+
+def test_verify_all_reports_every_suite(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatsphere", "verify", "all"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # every suite at its default box, in registry order, as `verify <target>` prints it
+    expected = "".join(run_cli(capsys, "verify", name)[1] for name in SUITES).splitlines()
+    assert lines[: len(expected)] == expected
+    heads = [line.split(": ", 1) for line in expected if not line.startswith("  ")]
+    assert [head for head, _ in heads] == [f"PASS {name}" for name in SUITES]
+    assert [int(tail.split()[0]) for _, tail in heads] == [50, 100, 20, 121, 144, 8, 80, 80, 360, 3]
+    # then the asympt probes
+    assert lines[len(expected):] == [
+        "PASS asympt d=2 n_terms=2: status=ok observed=1.0070 expected=1.0",
+        "PASS asympt d=2 n_terms=3: status=ok observed=2.0092 expected=2.0",
+        "PASS asympt d=2 n_terms=4: status=ok observed=3.0134 expected=3.0",
+        "PASS asympt d=3 n_terms=2: status=ok observed=0.5121 expected=0.5",
+        "PASS asympt d=3 n_terms=3: status=ok observed=1.5091 expected=1.5",
+        "PASS asympt d=3 n_terms=4: status=ok observed=2.5072 expected=2.5",
+        "PASS asympt d=5 n_terms=2: status=ok observed=-0.4635 expected=-0.5",
+        "PASS asympt d=5 n_terms=3: status=ok observed=0.5242 expected=0.5",
+        "PASS asympt d=5 n_terms=4: status=ok observed=1.5142 expected=1.5",
+    ]
+
+
+def test_verify_all_json(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 19
+    suites, probes = records[: len(SUITES)], records[len(SUITES):]
+    assert [r["identity"] for r in suites] == list(SUITES)
+    assert all(r["passed"] for r in suites)
+    assert [(r["d"], r["n_terms"]) for r in probes] == [(d, k) for d in (2, 3, 5) for k in (2, 3, 4)]
+    assert all(r["status"] == "ok" and r["relative_deviation"] <= 0.2 for r in probes)
+
+
+def test_verify_all_fails_on_any_failing_suite_or_probe(capsys, monkeypatch):
+    # a failing suite does not stop the rest: every suite and probe still reports
+    failing = VerificationReport("lemmas", [])
+    failing.record({"t": 0}, 1, 2)
+    monkeypatch.setattr(opercalc, "verify_lemmas", lambda: failing)
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert "FAIL lemmas: 1 points ()" in out.splitlines()
+    assert len([line for line in out.splitlines() if line.startswith("PASS ")]) == 9 + 9
+    # a probe's deviation is held to MAX_DEVIATION with <=, as `asympt` holds it:
+    # at a gate equal to the d = 2 probe's deviation it passes, and d = 5's fails
+    monkeypatch.undo()
+    gate = asymptotics.remainder_order(2, 2).relative_deviation
+    monkeypatch.setattr(asymptotics, "MAX_DEVIATION", gate)
+    code, out, _ = run_cli(capsys, "verify", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-9].startswith("PASS asympt d=2 n_terms=2:")
+    assert lines[-3].startswith("FAIL asympt d=5 n_terms=2:")
+    assert run_cli(capsys, "asympt", "--d", "2", "--n-terms", "2", f"--max-dev={gate!r}")[0] == 0
 
 
 def test_verify_unknown_target_is_usage_error(capsys):
@@ -450,21 +525,33 @@ def test_one_process_runs_commands_back_to_back(capsys):
     assert code == 0 and out.splitlines()[2].startswith("1,2,,even,1,3,")
 
 
-def test_compute_into_a_closed_pipe_exits_cleanly():
-    # every cell is computed before the first line, so a reader leaving early
-    # cuts the output only: no traceback, exit 0
+def exits_cleanly_into_a_closed_pipe(argv, first):
+    """Run the CLI, read its first line, close the pipe; it must still exit 0."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "heatsphere", "compute", "--n", "0..200", "--d", "1..20"],
+        [sys.executable, "-m", "heatsphere", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
-    assert json.loads(proc.stdout.readline())["n"] == 0
+    assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_compute_into_a_closed_pipe_exits_cleanly():
+    # every cell is computed before the first line, so a reader leaving early
+    # cuts the output only: no traceback, exit 0; in each format
+    box = ["compute", "--n", "0..200", "--d", "1..20", "--format"]
+    exits_cleanly_into_a_closed_pipe([*box, "json"], '{"n": 0, ')
+    exits_cleanly_into_a_closed_pipe([*box, "markdown"], "n \\ d ")
+
+
+def test_verify_all_into_a_closed_pipe_exits_cleanly():
+    # every suite still runs with its output discarded, and all of them pass
+    exits_cleanly_into_a_closed_pipe(["verify", "all"], f"PASS {next(iter(SUITES))}: ")
 
 
 def test_module_entry_point():

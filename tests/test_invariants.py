@@ -321,6 +321,14 @@ def test_row_validation():
     for ns, d in (([1, -1], 3), ([1, 2], 0), ([1, True], 3), ([1, 2], True)):
         with pytest.raises(ValueError):
             heat_invariant_row(ns, d)
+    # d is checked before any n, so an empty row rejects it too
+    for d, formula, message in (
+        (0, "auto", "dimension must be positive, got 0"),
+        (True, "auto", "not bool: d=True"),
+        (-5, "closed", "dimension must be positive, got -5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            heat_invariant_row([], d, formula=formula)
 
 
 @pytest.mark.parametrize("d", [1, 2, 9, 40])
