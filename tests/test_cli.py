@@ -541,12 +541,18 @@ def exits_cleanly_into_a_closed_pipe(argv, first):
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+CLOSED_PIPE_BOX = ["compute", "--n", "0..200", "--d", "1..20", "--format"]
+
+
 def test_compute_into_a_closed_pipe_exits_cleanly():
     # every cell is computed before the first line, so a reader leaving early
-    # cuts the output only: no traceback, exit 0; in each format
-    box = ["compute", "--n", "0..200", "--d", "1..20", "--format"]
-    exits_cleanly_into_a_closed_pipe([*box, "json"], '{"n": 0, ')
-    exits_cleanly_into_a_closed_pipe([*box, "markdown"], "n \\ d ")
+    # cuts the output only: no traceback, exit 0
+    exits_cleanly_into_a_closed_pipe([*CLOSED_PIPE_BOX, "json"], '{"n": 0, ')
+
+
+def test_compute_markdown_into_a_closed_pipe_exits_cleanly():
+    # the markdown table, header first, is cut the same way
+    exits_cleanly_into_a_closed_pipe([*CLOSED_PIPE_BOX, "markdown"], "n \\ d ")
 
 
 def test_verify_all_into_a_closed_pipe_exits_cleanly():
