@@ -25,16 +25,6 @@ from fractions import Fraction
 from .exactnum import ExactValue, Rational, gamma_half, omega_sum
 from .verification import VerificationReport
 
-__all__ = [
-    "VerificationReport",
-    "s1_sum",
-    "s1_sum_one_sided",
-    "s3_sum",
-    "s3_expected",
-    "alternating_power_sum",
-    "verify_identity",
-]
-
 
 def _check_n_omega(n: int, omega: int) -> None:
     if n < 1:

@@ -49,6 +49,8 @@ def _expand_even_product(roots: Iterable[int], top: int) -> list[int]:
     # highest of them (all, for top >= N); a generator of roots keeps memory to top, not N.
     # Built from the top down, desc[k] the coefficient of u^(N - k): the product is monic,
     # so the top entries never read one below them, and a full desc grows by one a step.
+    if top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
     desc = [1]
     for r in roots:
         if len(desc) <= top:

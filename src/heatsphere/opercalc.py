@@ -5,10 +5,9 @@ are 1/(4^i (2i+1)!), its powers act on monomials through
 `apply_to_monomial`, and its multiplicative inverse carries the Bernoulli
 numbers.  A series is an `exactnum.Polynomial`: `p_series` and
 `invert_series` stop at the order they are given, and the polynomial
-products themselves never truncate.  `terminating_2f1` evaluates
-hypergeometric sums whose argument may itself be a polynomial in D, which is
-how the vanishing mechanism (1 - P(D)^2)^(omega-n+1) = O(D^(2omega-2n+2))
-gets exercised literally.  `check_lemma` writes P(D) = Q(D^2)/N with integers
+products themselves never truncate, so the vanishing mechanism
+(1 - P(D)^2)^(omega-n+1) = O(D^(2omega-2n+2)) can be checked literally on
+them.  `check_lemma` writes P(D) = Q(D^2)/N with integers
 Q_i = 4^(t-i) (2t+1)!/(2i+1)! and N = 4^t (2t+1)!, steps integer powers of Q,
 and sums (-1)^j (2j+2t+e)! [D^(2t)] Q^(2j+e) over the one common denominator
 N^(2omega'+e) omega'! (omega'+t-s)! (2omega'+1+e)! (`exactnum.omega_sum`).
@@ -57,53 +56,6 @@ def apply_to_monomial(s: Polynomial, m: int) -> Rational:
     if m < 0:
         raise ValueError(f"monomial degree must be nonnegative, got {m}")
     return math.factorial(m) * s.coefficient(m)
-
-
-def terminating_2f1(a, b, c, z):
-    """Finite hypergeometric sum; z may be a Rational or a Polynomial.
-
-    Exact in both cases, with no truncation: the sum is a polynomial in z.
-    Terminates because a or b is a nonpositive integer.  A nonpositive
-    integer c reached before termination is a pole and is rejected.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    stops = [int(-v) for v in (a, b) if v.denominator == 1 and v <= 0]
-    if not stops:
-        raise ValueError("neither a nor b is a nonpositive integer: series does not terminate")
-    m_max = min(stops)
-    if not isinstance(z, Polynomial):
-        z = Fraction(z)
-    total = term = z**0  # 1, in the type of z
-    for m in range(m_max):
-        if c + m == 0:
-            raise ValueError(f"pochhammer pole: c={c} hits zero at step {m}")
-        factor = (a + m) * (b + m) / ((c + m) * (m + 1))
-        term = term * z * factor
-        total = total + term
-    return total
-
-
-def check_euler_transform(a, b, c, z) -> bool:
-    """Exact check of 2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a,c-b;c;z).
-
-    Demands parameters for which both sides are finite sums: a must be a
-    nonpositive integer, c-a-b a nonnegative integer, and at least one of
-    c-a, c-b a nonpositive integer.
-    """
-    a, b, c, z = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
-    if not (a.denominator == 1 and a <= 0):
-        raise ValueError(f"a={a} must be a nonpositive integer")
-    exponent = c - a - b
-    if not (exponent.denominator == 1 and exponent >= 0):
-        raise ValueError(f"c-a-b={exponent} must be a nonnegative integer")
-    if not any(
-        v.denominator == 1 and v <= 0 for v in (c - a, c - b)
-    ):
-        raise ValueError("transformed side does not terminate: need c-a or c-b "
-                         "a nonpositive integer")
-    lhs = terminating_2f1(a, b, c, z)
-    rhs = (1 - z) ** int(exponent) * terminating_2f1(c - a, c - b, c, z)
-    return lhs == rhs
 
 
 def check_bernoulli_link(t_max: int = 8) -> VerificationReport:

@@ -41,6 +41,17 @@ def test_symmetrized_vanishes_at_sample_points():
             assert s1_sum(n, 2 * n + 3, x) == 0
 
 
+def test_symmetrized_vanishes_for_every_x():
+    # Every term of s1_sum(n, omega, x) is a multiple of (x+k)^(2j+2n) with j <= omega, so
+    # s1_sum is a polynomial in x of degree at most 2omega+2n.  A polynomial of that degree
+    # that is zero at the 2omega+2n+1 integers 0..2omega+2n is the zero polynomial, so each
+    # box below is proved for every x, not sampled.
+    for n in range(1, 7):
+        for omega in range(2 * n, 2 * n + 5):
+            degree = 2 * omega + 2 * n
+            assert all(s1_sum(n, omega, x) == 0 for x in range(degree + 1))
+
+
 @settings(max_examples=40)
 @given(
     st.integers(min_value=1, max_value=4),

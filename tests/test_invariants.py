@@ -85,6 +85,10 @@ def test_k_table_validation():
         k_table_odd(0)
     with pytest.raises(ValueError):
         k_table_even(0)
+    with pytest.raises(ValueError, match="top must be nonnegative, got -1"):
+        k_table_odd(3, -1)
+    with pytest.raises(ValueError, match="top must be nonnegative, got -2"):
+        k_table_even(3, -2)
 
 
 def test_general_route_values():

@@ -9,11 +9,9 @@ from heatsphere.exactnum import Polynomial
 from heatsphere.opercalc import (
     apply_to_monomial,
     check_bernoulli_link,
-    check_euler_transform,
     check_lemma,
     invert_series,
     p_series,
-    terminating_2f1,
     verify_lemmas,
 )
 
@@ -103,30 +101,6 @@ def test_apply_to_monomial():
         apply_to_monomial(p2, -1)
 
 
-def test_terminating_2f1_rational_values():
-    assert terminating_2f1(-1, 3, 2, Fraction(1, 2)) == Fraction(1, 4)
-    assert terminating_2f1(-2, 1, 1, 1) == 0
-    # Chu-Vandermonde at z = 1: 2F1(-m, b; c; 1) = (c-b)_m / (c)_m
-    assert terminating_2f1(-3, 2, 5, 1) == Fraction(60, 210)
-
-
-def test_terminating_2f1_rejections():
-    with pytest.raises(ValueError):
-        terminating_2f1(Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), 1)
-    with pytest.raises(ValueError):
-        terminating_2f1(-3, 5, -1, Fraction(1, 2))
-    # pole past the truncation point is never reached
-    assert terminating_2f1(-3, 5, -5, 0) == 1
-
-
-def test_terminating_2f1_series_argument():
-    # 2F1(-m, b; b; z) = (1 - z)^m holds exactly for polynomial z
-    z = p_series(8) * p_series(8)
-    lhs = terminating_2f1(-2, Fraction(3, 2), Fraction(3, 2), z)
-    rhs = (ONE - z) ** 2
-    assert lhs == rhs
-
-
 def test_vanishing_mechanism_order():
     # (1 - P^2)^m starts exactly at D^(2m), on untruncated products
     for m in range(1, 6):
@@ -134,24 +108,6 @@ def test_vanishing_mechanism_order():
         power = (ONE - p * p) ** m
         assert all(power.coefficient(i) == 0 for i in range(2 * m))
         assert power.coefficient(2 * m) == Fraction(-1, 12) ** m
-
-
-def test_euler_transform_on_the_working_family():
-    for n in range(1, 5):
-        for omega in range(n - 1, n + 4):
-            if omega < 0:
-                continue
-            for z in (Fraction(1, 3), Fraction(-1), Fraction(2)):
-                assert check_euler_transform(-omega, Fraction(2 * n + 1, 2), Fraction(3, 2), z)
-
-
-def test_euler_transform_precondition_rejections():
-    with pytest.raises(ValueError):
-        check_euler_transform(Fraction(1, 2), 1, 3, 0)
-    with pytest.raises(ValueError):
-        check_euler_transform(-1, 3, 1, 0)  # c-a-b = -1
-    with pytest.raises(ValueError):
-        check_euler_transform(-2, Fraction(1, 2), 5, 0)  # neither side terminates
 
 
 def test_bernoulli_link_report():
