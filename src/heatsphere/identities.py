@@ -36,9 +36,7 @@ def _check_n_omega(n: int, omega: int) -> None:
 def s1_sum(n: int, omega: int, x: Rational | int) -> Rational:
     """Symmetrized double sum at rational x; zero whenever omega >= 2n."""
     _check_n_omega(n, omega)
-    x = Fraction(x)
-    b = x.denominator
-    return omega_sum(omega, n, 1, _s1_inners(omega, n, x.numerator, b), b * b) / b ** (2 * n)
+    return _s1_sums(n, [omega], x)[0]
 
 
 def s1_sum_one_sided(n: int, omega: int) -> Rational:
@@ -47,7 +45,14 @@ def s1_sum_one_sided(n: int, omega: int) -> Rational:
     (The k = 0 term is 0^(2j+2n) = 0, so symmetrizing exactly doubles.)
     """
     _check_n_omega(n, omega)
-    return omega_sum(omega, n, 1, _s1_inners(omega, n, 0, 1, one_sided=True))
+    return _s1_sums(n, [omega], 0, one_sided=True)[0]
+
+
+def _s1_sums(n: int, omegas: list[int], x: Rational | int, one_sided=False) -> list[Rational]:
+    # inner_j depends on (j, n, x), not on omega: one pass serves every omega
+    a, b = Fraction(x).as_integer_ratio()
+    inners = list(_s1_inners(max(omegas), n, a, b, one_sided))
+    return [omega_sum(omega, n, 1, inners[: omega + 1], b * b) / b ** (2 * n) for omega in omegas]
 
 
 def _s1_inners(omega: int, n: int, a: int, b: int, one_sided: bool = False) -> Iterator[int]:
@@ -66,8 +71,13 @@ def s3_sum(n: int, omega: int) -> ExactValue:
     """Left side of the three-sphere identity; equals s3_expected(n) for
     omega >= 2n."""
     _check_n_omega(n, omega)
-    front = gamma_half(2 * omega + 5)  # Gamma(omega + 5/2)
-    return ExactValue(front.coeff * omega_sum(omega, n, 3, _s3_inners(omega, n)), front.pi_half)
+    return _s3_sums(n, [omega])[0]
+
+
+def _s3_sums(n: int, omegas: list[int]) -> list[ExactValue]:
+    # inner_j depends on (j, n), not on omega: one pass serves every omega
+    inners = list(_s3_inners(max(omegas), n))
+    return [gamma_half(2 * w + 5) * omega_sum(w, n, 3, inners[: w + 1]) for w in omegas]
 
 
 def _s3_inners(omega: int, n: int) -> Iterator[int]:
@@ -106,8 +116,8 @@ _X_DEFAULT = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
 
 def _omega_grid(
     name: str, n: tuple[int, int], offset: tuple[int, int], *labels: tuple[str, str]
-) -> tuple[VerificationReport, list[dict[str, int]]]:
-    """A sweep's empty report and its points {n, omega = 2n + offset}, omega < 0 skipped.
+) -> tuple[VerificationReport, list[tuple[int, list[int]]]]:
+    """A sweep's empty report and its points by n: (n, [omega = 2n + offset >= 0]), if any.
 
     The n range is checked before any point is evaluated.
     """
@@ -117,39 +127,39 @@ def _omega_grid(
     report = VerificationReport(
         name, [("n", f"{n_lo}..{n_hi}"), ("omega", f"2n{off_lo:+d}..2n{off_hi:+d}"), *labels]
     )
-    points = [
-        {"n": k, "omega": 2 * k + off}
-        for k in range(n_lo, n_hi + 1)
-        for off in range(max(off_lo, -2 * k), off_hi + 1)
-    ]
-    return report, points
+    groups = ((k, range(max(off_lo, -2 * k), off_hi + 1)) for k in range(n_lo, n_hi + 1))
+    return report, [(k, [2 * k + off for off in offs]) for k, offs in groups if offs]
 
 
 def _s1(n=(1, 5), offset=(0, 4)) -> VerificationReport:
-    report, points = _omega_grid("s1", n, offset)
-    for point in points:
-        # below omega = 2n this fails, and the witness is the point:
-        # that is how the sharpness of the bound shows up here
-        one_sided = s1_sum_one_sided(**point)
-        report.record(point, one_sided, Fraction(0))
-        report.record({**point, "relation": "factor-2"}, s1_sum(**point, x=0), 2 * one_sided)
+    report, groups = _omega_grid("s1", n, offset)
+    for k, omegas in groups:
+        one_sided = _s1_sums(k, omegas, 0, one_sided=True)
+        for omega, half, full in zip(omegas, one_sided, _s1_sums(k, omegas, 0)):
+            # below omega = 2n this fails, and the witness is the point:
+            # that is how the sharpness of the bound shows up here
+            report.record({"n": k, "omega": omega}, half, Fraction(0))
+            report.record({"n": k, "omega": omega, "relation": "factor-2"}, full, 2 * half)
     report.notes.append("symmetrized x = 0 sum checked against twice the one-sided sum")
     return report
 
 
 def _s1g(n=(1, 5), offset=(0, 4), x=_X_DEFAULT) -> VerificationReport:
     xs = tuple(map(Fraction, x))
-    report, points = _omega_grid("s1g", n, offset, ("x", ",".join(map(str, xs))))
-    for point in points:
-        for value in xs:
-            report.record({**point, "x": value}, s1_sum(**point, x=value), Fraction(0))
+    report, groups = _omega_grid("s1g", n, offset, ("x", ",".join(map(str, xs))))
+    for k, omegas in groups:
+        by_x = [_s1_sums(k, omegas, value) for value in xs]
+        for omega, values in zip(omegas, zip(*by_x)):
+            for value, computed in zip(xs, values):
+                report.record({"n": k, "omega": omega, "x": value}, computed, Fraction(0))
     return report
 
 
 def _s3(n=(1, 5), offset=(0, 3)) -> VerificationReport:
-    report, points = _omega_grid("s3", n, offset)
-    for point in points:
-        report.record(point, s3_sum(**point), s3_expected(point["n"]))
+    report, groups = _omega_grid("s3", n, offset)
+    for k, omegas in groups:
+        for omega, value in zip(omegas, _s3_sums(k, omegas)):
+            report.record({"n": k, "omega": omega}, value, s3_expected(k))
     return report
 
 

@@ -310,16 +310,17 @@ def heat_invariant_row(
 def verify_crosscheck(
     n: tuple[int, int] = (1, 8), d: tuple[int, int] = (2, 11)
 ) -> VerificationReport:
-    """General route at omega = 2n against the parity route, cell by cell."""
+    """General route at omega = 2n, cell by cell, against the parity route's row."""
     (n_lo, n_hi), (d_lo, d_hi) = n, d
     report = VerificationReport(
         "crosscheck", [("n", f"{n_lo}..{n_hi}"), ("d", f"{d_lo}..{d_hi}")]
     )
+    ns = range(n_lo, n_hi + 1)
     for d in range(d_lo, d_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            general = heat_invariant_general(n, d, 2 * n)
-            parity = heat_invariant(n, d).value
-            report.record({"n": n, "d": d}, general, parity)
+        # the general side first: a bad n or d raises its error, as cell by cell did
+        generals = [heat_invariant_general(k, d, 2 * k) for k in ns]
+        for k, general, parity in zip(ns, generals, heat_invariant_row(ns, d)):
+            report.record({"n": k, "d": d}, general, parity.value)
     return report
 
 

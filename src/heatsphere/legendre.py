@@ -23,6 +23,7 @@ ONE_POLY = Polynomial((Fraction(1),))
 ONE_MINUS_T = Polynomial((Fraction(1), Fraction(-1)))
 
 
+@lru_cache(maxsize=None)
 def weighted_moment(m: int, d: int) -> ExactValue:
     """Integral of t^m (1-t^2)^((d-2)/2) over [-1, 1].
 
@@ -62,11 +63,7 @@ def gegenbauer_poly(k: int, d: int) -> Polynomial:
     monomial = Polynomial(tuple([Fraction(0)] * k + [Fraction(1)]))
     p = monomial
     for i in range(k):
-        q = gegenbauer_poly(i, d)
-        # all inner products share the same pi_half per fixed d, so the
-        # Gram-Schmidt ratio is plain rational
-        ratio = (weighted_integral(monomial * q, d) / norm_squared(i, d)).as_rational()
-        p = p - q * ratio
+        p = p - gegenbauer_poly(i, d) * _projection(monomial, i, d)
     return p * (Fraction(1) / p.evaluate(1))
 
 
@@ -79,10 +76,16 @@ def expansion_coeff(j: int, k: int, d: int) -> Rational:
     """
     if j < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got j={j}, k={k}")
+    if d < 2:
+        raise ValueError(f"weight needs d >= 2, got {d}")
     if k > j:
         return Fraction(0)
-    q = gegenbauer_poly(k, d)
-    return (weighted_integral(ONE_MINUS_T**j * q, d) / norm_squared(k, d)).as_rational()
+    return _projection(ONE_MINUS_T**j, k, d)
+
+
+def _projection(p: Polynomial, k: int, d: int) -> Rational:
+    # <p, L_k> / <L_k, L_k>: both integrals carry the same pi_half per d, so it is rational
+    return (weighted_integral(p * gegenbauer_poly(k, d), d) / norm_squared(k, d)).as_rational()
 
 
 def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
@@ -104,6 +107,7 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
     return value.as_rational()
 
 
+@lru_cache(maxsize=None)
 def norm_squared(k: int, d: int) -> ExactValue:
     """Weighted L^2 norm of the degree-k basis polynomial, exactly."""
     q = gegenbauer_poly(k, d)
@@ -118,13 +122,14 @@ def verify_expansion(j_max: int = 4, d: tuple[int, int] = (2, 5)) -> Verificatio
     """
     d_lo, d_hi = d
     report = VerificationReport("legendre", [("j", f"0..{j_max}"), ("d", f"{d_lo}..{d_hi}")])
+    targets = [ONE_MINUS_T**j for j in range(j_max + 1)]
     for d in range(d_lo, d_hi + 1):
-        for j in range(j_max + 1):
-            coeffs = [expansion_coeff(j, k, d) for k in range(j + 1)]
+        for j, target in enumerate(targets):
+            coeffs = [_projection(target, k, d) for k in range(j + 1)]
             rebuilt = ZERO_POLY
             for k, c in enumerate(coeffs):
                 rebuilt = rebuilt + gegenbauer_poly(k, d) * c
-            report.record({"j": j, "d": d, "check": "reconstruction"}, rebuilt, ONE_MINUS_T**j)
+            report.record({"j": j, "d": d, "check": "reconstruction"}, rebuilt, target)
             for k, c in enumerate(coeffs):
                 report.record(
                     {"j": j, "k": k, "d": d, "check": "closed-form"},

@@ -321,7 +321,13 @@ def test_verify_flag_the_target_does_not_take_is_usage_error(capsys, argv, flag)
 
 @pytest.mark.parametrize(
     "argv",
-    [("lemmas", "--t-max", "-1"), ("vychet", "--j-max", "-3"), ("legendre", "--j-max", "-1")],
+    [
+        ("lemmas", "--t-max", "-1"),
+        ("vychet", "--j-max", "-3"),
+        ("legendre", "--j-max", "-1"),
+        # no s: no t builds its terms, however many t there are
+        ("lemmas", "--s-max", "-1", "--t-max", "100000"),
+    ],
 )
 def test_verify_empty_box_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -354,6 +360,20 @@ def test_verify_identity_output_is_pinned_below_and_above_the_bound(capsys, targ
     code, out, err = run_cli(capsys, "verify", target, "--offset=-3..4", "--format", fmt)
     assert code == 1 and err == ""
     assert out == VERIFY_OFFSETS[target][fmt]
+
+
+# text and JSON output and exit code of every target at its default box, of
+# `verify all`, and of four widened boxes, recorded before the sweeps shared
+# their per-box work across points
+VERIFY_PINS = json.loads((Path(__file__).parent / "data" / "verify_pins.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(VERIFY_PINS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_is_pinned(capsys, command, fmt):
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert err == ""
+    assert (code, out) == (VERIFY_PINS[command]["code"], VERIFY_PINS[command][fmt])
 
 
 # sha256 of compute's stdout (float_value and log10_abs included), recorded when

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from heatsphere.exactnum import ExactValue, gamma_half
 from heatsphere.identities import (
+    _X_DEFAULT,
+    _s1_sums,
+    _s3_sums,
     alternating_power_sum,
     s1_sum,
     s1_sum_one_sided,
@@ -264,3 +267,23 @@ def test_oracle_box_reaches_nonzero_values_below_the_bound():
 def test_s1_kernel_equals_the_fraction_reference_at_any_rational(n, offset, x):
     omega = max(0, 2 * n + offset)
     assert s1_sum(n, omega, x) == reference_s1(n, omega, x)
+
+
+# n 1..6 at omega = 2n-3..2n+5: a sweep's one pass over all of an n's omegas
+SHARED_BOX = [(n, [2 * n + off for off in range(-3, 6) if 2 * n + off >= 0]) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("n, omegas", SHARED_BOX)
+def test_shared_pass_equals_the_single_point_path(n, omegas):
+    # every omega of the shared pass reads its own prefix of the inners: a slice one
+    # short or one long would move the value away from both sides
+    for x in _X_DEFAULT:
+        shared = _s1_sums(n, omegas, x)
+        assert shared == [_s1_sums(n, [omega], x)[0] for omega in omegas]
+        assert shared == [reference_s1(n, omega, x) for omega in omegas]
+    shared = _s1_sums(n, omegas, 0, one_sided=True)
+    assert shared == [_s1_sums(n, [omega], 0, one_sided=True)[0] for omega in omegas]
+    assert shared == [reference_s1_one_sided(n, omega) for omega in omegas]
+    shared = _s3_sums(n, omegas)
+    assert shared == [_s3_sums(n, [omega])[0] for omega in omegas]
+    assert shared == [reference_s3(n, omega) for omega in omegas]

@@ -401,3 +401,11 @@ def test_even_kernel_equals_the_reference_on_a_wide_row():
 def test_even_kernel_equals_the_reference_around_nu(nu):
     for n in {max(1, nu - 2), max(1, nu - 1), nu, nu + 1, nu + 5}:
         assert heat_invariant_even(n, nu) == reference_even(n, nu)
+
+
+def test_crosscheck_raises_the_general_routes_error_first():
+    # the parity side goes by rows, the general side still by cells, and it runs first
+    with pytest.raises(ValueError, match="general route needs n >= 1, got -1"):
+        verify_crosscheck((-1, 2), (0, 1))
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        verify_crosscheck((1, 2), (0, 1))

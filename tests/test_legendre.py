@@ -136,6 +136,9 @@ def test_closed_form_frozen_values():
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         expansion_coeff_closed(1, 2, 3)
+    # d is checked before the k > j shortcut, as every other legendre entry checks it
+    with pytest.raises(ValueError, match="weight needs d >= 2, got -3"):
+        expansion_coeff(1, 2, -3)
 
 
 def test_verify_expansion_report():

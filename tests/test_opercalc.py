@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heatsphere import opercalc
 from heatsphere.exactnum import Polynomial
 from heatsphere.opercalc import (
     apply_to_monomial,
@@ -215,3 +216,22 @@ def test_check_lemma_equals_the_fraction_reference():
     assert {(point[0], outcome) for point, outcome in zip(LEMMA_BOX, outcomes)} == {
         ("ff1_bb", True), ("ff1_bb", False), ("ff2_e2", True), ("ff2_e2", False)
     }
+
+
+def test_verify_lemmas_outcomes_equal_check_lemma_point_by_point(monkeypatch):
+    # verify_lemmas reads each point off inners built once per (t, e) up to the box's
+    # largest omega'; check_lemma builds its own up to its omega' and no further
+    holds, calls = opercalc._lemma_holds, []
+
+    def recording(which, t, s, omega_prime, inners):
+        outcome = holds(which, t, s, omega_prime, inners)
+        calls.append(((which, t, s, omega_prime), outcome))
+        return outcome
+
+    monkeypatch.setattr(opercalc, "_lemma_holds", recording)
+    report = verify_lemmas(t_max=5, s_max=4, slack=4)
+    monkeypatch.undo()
+    probes = 5 * 5  # t 1..5, s 0..4, at omega' = 2t+s-1
+    assert len(calls) == report.points_checked + probes
+    assert [outcome for _, outcome in calls] == [check_lemma(*point) for point, _ in calls]
+    assert {outcome for _, outcome in calls} == {True, False}  # the probe fails somewhere
