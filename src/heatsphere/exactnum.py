@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,17 +178,28 @@ class Polynomial:
         return acc
 
 
-def omega_sum(omega: int, n: int, c: int, inners: Iterable[int], ratio: int = 1) -> Rational:
+def alternating_binomial_sum(m: int, values: Iterable, start: int = 0) -> int | Rational:
+    """sum_i (-1)^i C(m, i) v_i over i = start, start + 1, ..., one v_i per item of `values`
+    (ints or Fractions): over i = 0..m, the m-th finite difference of v, zero when v is a
+    polynomial in i of degree below m.  Each signed binomial is stepped from the one before."""
+    total, weight = 0, (-1) ** start * math.comb(m, start)
+    for i, value in enumerate(values, start):
+        total += weight * value
+        weight = -weight * (m - i) // (i + 1)  # exact, so floor division is safe below zero
+    return total
+
+
+def omega_sum(omega: int, n: int, c: int, inners: Sequence[int], ratio: int = 1) -> Rational:
     """sum_j inner_j / (ratio^j (omega-j)! (j+n)! (2j+c)!) over j = 0..omega, 1/m! = 0 for m < 0,
-    as one integer over ratio^omega omega! (omega+n)! (2omega+c)!; `inners` yields inner_j."""
+    as one integer over ratio^omega omega! (omega+n)! (2omega+c)!, reading inners[0..omega]."""
     if omega + n < 0:
         return Fraction(0)
     total = 0
-    for j, inner in enumerate(inners):
+    for j in range(omega + 1):
         total *= ratio  # Horner: term j gets ratio^(omega-j)
         if j + n >= 0:
             scale = math.perm(omega, j) * math.perm(omega + n, omega - j)
-            total += inner * scale * math.perm(2 * omega + c, 2 * (omega - j))
+            total += inners[j] * scale * math.perm(2 * omega + c, 2 * (omega - j))
     denominator = math.factorial(omega) * math.factorial(omega + n) * math.factorial(2 * omega + c)
     return Fraction(total, ratio**omega * denominator)
 

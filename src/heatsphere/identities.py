@@ -4,7 +4,8 @@
 it vanishes for every rational x once omega >= 2n, and its one-sided twin
 (inner index from 0) is exactly half of the x = 0 value.  `s3_sum` is the
 three-sphere analogue with a nonzero right side.  `alternating_power_sum`
-is the residue-style sum that collapses to 0 or (2j)!.
+is the residue-style sum that collapses to 0 or (2j)!; it and the inner sums
+of s1 and s3 run one kernel, `exactnum.alternating_binomial_sum`.
 
 Each sum is one integer over one common denominator (`exactnum.omega_sum`):
 for x = a/b, `s1_sum` and its one-sided twin (a = 0, b = 1) over
@@ -22,7 +23,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .exactnum import ExactValue, Rational, gamma_half, omega_sum
+from .exactnum import ExactValue, Rational, alternating_binomial_sum, gamma_half, omega_sum
 from .verification import VerificationReport
 
 
@@ -52,19 +53,17 @@ def _s1_sums(n: int, omegas: list[int], x: Rational | int, one_sided=False) -> l
     # inner_j depends on (j, n, x), not on omega: one pass serves every omega
     a, b = Fraction(x).as_integer_ratio()
     inners = list(_s1_inners(max(omegas), n, a, b, one_sided))
-    return [omega_sum(omega, n, 1, inners[: omega + 1], b * b) / b ** (2 * n) for omega in omegas]
+    return [omega_sum(omega, n, 1, inners, b * b) / b ** (2 * n) for omega in omegas]
 
 
 def _s1_inners(omega: int, n: int, a: int, b: int, one_sided: bool = False) -> Iterator[int]:
     # inner_j = sum_k (-1)^k C(2j, j+k) (a+kb)^(2j+2n) over k = -j..j, or 0..j one-sided
     for j in range(omega + 1):
         lo = 0 if one_sided else -j
-        inner, binom = 0, math.comb(2 * j, j + lo)
-        for k in range(lo, j + 1):
-            term = binom * (a + k * b) ** (2 * j + 2 * n)
-            inner += -term if k % 2 else term
-            binom = binom * (j - k) // (j + k + 1)
-        yield inner
+        # i = j + k, so (-1)^k = (-1)^j (-1)^i
+        powers = ((a + k * b) ** (2 * j + 2 * n) for k in range(lo, j + 1))
+        inner = alternating_binomial_sum(2 * j, powers, j + lo)
+        yield -inner if j % 2 else inner
 
 
 def s3_sum(n: int, omega: int) -> ExactValue:
@@ -77,18 +76,15 @@ def s3_sum(n: int, omega: int) -> ExactValue:
 def _s3_sums(n: int, omegas: list[int]) -> list[ExactValue]:
     # inner_j depends on (j, n), not on omega: one pass serves every omega
     inners = list(_s3_inners(max(omegas), n))
-    return [gamma_half(2 * w + 5) * omega_sum(w, n, 3, inners[: w + 1]) for w in omegas]
+    return [gamma_half(2 * w + 5) * omega_sum(w, n, 3, inners) for w in omegas]
 
 
 def _s3_inners(omega: int, n: int) -> Iterator[int]:
-    # inner_j = sum_l (-1)^l l^2 C(2j+2, j+1+l) (l^2-1)^(j+n), binomials stepped from l = j+1
+    # inner_j = sum_l (-1)^l l^2 C(2j+2, j+1+l) (l^2-1)^(j+n); i = j + 1 - l, from l = j + 1 down
     for j in range(omega + 1):
-        inner, binom = 0, 1
-        for l in range(j + 1, 0, -1):  # l = 0 has l^2 = 0
-            term = binom * l * l * (l * l - 1) ** (j + n)
-            inner += -term if l % 2 else term
-            binom = binom * (j + 1 + l) // (j + 2 - l)
-        yield inner
+        terms = (l * l * (l * l - 1) ** (j + n) for l in range(j + 1, 0, -1))  # l = 0 has l^2 = 0
+        inner = alternating_binomial_sum(2 * j + 2, terms)
+        yield inner if j % 2 else -inner
 
 
 def s3_expected(n: int) -> ExactValue:
@@ -104,11 +100,7 @@ def alternating_power_sum(j: int, s: int) -> int:
     """
     if j < 0 or s < 0:
         raise ValueError(f"need j, s >= 0, got j={j}, s={s}")
-    total = 0
-    for p in range(2 * j + 1):
-        term = math.comb(2 * j, p) * (p - j) ** s
-        total += -term if p % 2 else term
-    return total
+    return alternating_binomial_sum(2 * j, ((p - j) ** s for p in range(2 * j + 1)))
 
 
 _X_DEFAULT = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))

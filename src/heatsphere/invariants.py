@@ -22,6 +22,7 @@ from fractions import Fraction
 from .exactnum import (
     ExactValue,
     Rational,
+    alternating_binomial_sum,
     bernoulli,
     bernoulli_series,
     gamma_half,
@@ -95,7 +96,7 @@ def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
     values = []
     for omega in omegas:
         front = gamma_half(2 * omega + d + 2)  # Gamma(omega + d/2 + 1)
-        total = omega_sum(omega, n, d, inners[: omega + 1])
+        total = omega_sum(omega, n, d, inners)
         values.append(ExactValue(2 * (-1) ** n * front.coeff * total, front.pi_half))
     return values
 
@@ -109,13 +110,9 @@ def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
         powers = [power * lam for power, lam in zip(powers, lams)]
         lams.append(eigenvalue(j, d))
         powers.append(multiplicity(j, d) * lams[-1] ** (j + n))
-        # the weights C(2j+d-1, i), i = j - k, stepped from k = j down
-        inner, binom, upper = 0, 1, 2 * j + d - 1
-        for i, power in enumerate(reversed(powers)):
-            term = binom * power
-            inner += -term if (j - i) % 2 else term
-            binom = binom * (upper - i) // (i + 1)
-        yield inner
+        # i = j - k, from k = j down, so (-1)^k = (-1)^j (-1)^i
+        inner = alternating_binomial_sum(2 * j + d - 1, reversed(powers))
+        yield -inner if j % 2 else inner
 
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
@@ -216,11 +213,8 @@ def heat_invariant_even(n: int, nu: int) -> ExactValue:
 
 
 def _closed_d2(n: int) -> Rational:
-    # Bernoulli form of a_{n,2}
-    total = Fraction(0)
-    for r in range(n + 1):
-        sign = -1 if r % 2 else 1
-        total += sign * math.comb(n, r) * (2 - 4**r) * bernoulli(2 * r)
+    # Bernoulli form of a_{n,2}: sum_r (-1)^r C(n, r) (2 - 4^r) B_2r over n! 4^n, i = r
+    total = alternating_binomial_sum(n, ((2 - 4**r) * bernoulli(2 * r) for r in range(n + 1)))
     return total / (math.factorial(n) * 4**n)
 
 

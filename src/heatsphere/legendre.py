@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import ExactValue, Polynomial, Rational, gamma_half
-from .spectrum import multiplicity, sphere_volume
+from .spectrum import multiplicity, weyl_leading_term
 from .verification import VerificationReport
 
 ZERO_POLY = Polynomial(())
@@ -102,8 +102,8 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
         raise ValueError(f"weight needs d >= 2, got {d}")
     sign = -1 if k % 2 else 1
     front = Fraction(sign * 2**j * math.perm(j, k), math.factorial(j + k + d - 1))  # j!/(j-k)!
-    four_pi = ExactValue(Fraction(2) ** d, d)  # (4 pi)^(d/2)
-    value = gamma_half(2 * j + d) * front * four_pi * multiplicity(k, d) / sphere_volume(d)
+    # (4 pi)^(d/2) / vol(S^d) is 1 / the Weyl term
+    value = gamma_half(2 * j + d) * front * multiplicity(k, d) / weyl_leading_term(d)
     return value.as_rational()
 
 

@@ -12,8 +12,10 @@ from heatsphere import exactnum
 from heatsphere.exactnum import (
     ExactValue,
     Polynomial,
+    alternating_binomial_sum,
     bernoulli,
     gamma_half,
+    omega_sum,
     tangent_numbers,
 )
 
@@ -55,6 +57,11 @@ def akiyama_tanigawa(n):
     for j in range(1, n + 1):
         row = [(row[m] - row[m + 1]) * (m + 1) for m in range(n + 1 - j)]
     return row[0]
+
+
+def test_bernoulli_rejects_negative_index():
+    with pytest.raises(ValueError, match="bernoulli of negative index -1"):
+        bernoulli(-1)
 
 
 def test_bernoulli_against_akiyama_tanigawa():
@@ -197,3 +204,52 @@ def test_power_rejects_negative_and_modular_exponents():
         a**-1
     with pytest.raises(TypeError):
         pow(a, 3, 2)
+
+
+def comb_transcription(m, values, start):
+    return sum((-1) ** i * math.comb(m, i) * v for i, v in enumerate(values, start))
+
+
+@pytest.mark.parametrize("m", range(41))
+def test_alternating_binomial_sum_is_the_comb_transcription(m):
+    rng = random.Random(m)
+    for start in range(m + 1):
+        ints = [rng.randint(-(10**9), 10**9) for _ in range(m + 1 - start)]
+        fractions = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in ints]
+        # a full pass, one past i = m (C(m, i) = 0 there), a short pass and no values
+        for values in (ints, fractions, ints + [5], fractions[: len(ints) // 2], []):
+            got = alternating_binomial_sum(m, iter(values), start)
+            assert got == comb_transcription(m, values, start)
+            assert isinstance(got, int) == all(isinstance(v, int) for v in values)
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_alternating_binomial_sum_is_the_mth_finite_difference(m):
+    # zero on polynomials in i of degree below m, (-1)^m m! on i^m
+    assert alternating_binomial_sum(m, (i ** (m - 1) for i in range(m + 1))) == 0
+    top = alternating_binomial_sum(m, (i**m for i in range(m + 1)))
+    assert top == (-1) ** m * math.factorial(m)
+
+
+def omega_sum_transcription(omega, n, c, inners, ratio):
+    # sum_j inner_j / (ratio^j (omega-j)! (j+n)! (2j+c)!), 1/m! = 0 for m < 0
+    return sum(
+        Fraction(inners[j], ratio**j * math.factorial(omega - j))
+        / (math.factorial(j + n) * math.factorial(2 * j + c))
+        for j in range(max(0, -n), omega + 1)
+    )
+
+
+@pytest.mark.parametrize("ratio", [1, 9])
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_omega_sum_reads_its_own_prefix(n, ratio):
+    rng = random.Random(10 * n + ratio)
+    inners = [rng.randint(-(10**9), 10**9) for _ in range(12)]
+    for omega in range(len(inners)):
+        prefix = inners[: omega + 1]
+        expected = omega_sum_transcription(omega, n, 1, prefix, ratio)
+        assert omega_sum(omega, n, 1, inners, ratio) == expected
+        assert omega_sum(omega, n, 1, prefix, ratio) == expected
+        if omega + n >= 0:
+            with pytest.raises(IndexError):
+                omega_sum(omega, n, 1, inners[:omega], ratio)

@@ -104,6 +104,15 @@ def test_general_route_rejects_small_omega():
         heat_invariant_general(0, 3, 2)
 
 
+@pytest.mark.parametrize(
+    "route, name", [(heat_invariant_odd, "alpha"), (heat_invariant_even, "nu")]
+)
+@pytest.mark.parametrize("n, index", [(0, 1), (1, 0)])
+def test_parity_routes_reject_nonpositive_arguments(route, name, n, index):
+    with pytest.raises(ValueError, match=f"need n >= 1 and {name} >= 1, got n={n}, {name}={index}"):
+        route(n, index)
+
+
 def test_odd_route_values():
     assert heat_invariant_odd(1, 1) == sqrtpi(1, 4)
     assert heat_invariant_odd(1, 2) == sqrtpi(5, 48)
@@ -127,6 +136,8 @@ def test_closed_route_values():
 def test_closed_route_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         heat_invariant_closed(1, 4)
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        heat_invariant_closed(-1, 3)
 
 
 def test_closed_matches_weyl_at_zero():

@@ -46,6 +46,10 @@ def test_weighted_moment_validation():
         weighted_moment(2, 1)
     with pytest.raises(ValueError):
         weighted_moment(-1, 3)
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        gegenbauer_poly(-1, 3)
+    with pytest.raises(ValueError, match="weight needs d >= 2, got 1"):
+        gegenbauer_poly(2, 1)
 
 
 def test_gegenbauer_low_degrees():
@@ -136,6 +140,10 @@ def test_closed_form_frozen_values():
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         expansion_coeff_closed(1, 2, 3)
+    with pytest.raises(ValueError, match="weight needs d >= 2, got 1"):
+        expansion_coeff_closed(1, 0, 1)
+    with pytest.raises(ValueError, match="indices must be nonnegative, got j=-1, k=0"):
+        expansion_coeff(-1, 0, 3)
     # d is checked before the k > j shortcut, as every other legendre entry checks it
     with pytest.raises(ValueError, match="weight needs d >= 2, got -3"):
         expansion_coeff(1, 2, -3)

@@ -34,6 +34,10 @@ def test_dimension_validation():
         multiplicity(1, -2)
     with pytest.raises(ValueError):
         sphere_volume(0)
+    with pytest.raises(ValueError, match="eigenvalue index must be nonnegative, got -1"):
+        eigenvalue(-1, 3)
+    with pytest.raises(ValueError, match="eigenvalue index must be nonnegative, got -1"):
+        multiplicity(-1, 3)
 
 
 def test_circle_multiplicities():
