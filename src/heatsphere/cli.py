@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -94,21 +93,39 @@ def _log10_abs(value: ExactValue) -> float | None:
     return logs + value.pi_half * math.log10(math.pi) / 2
 
 
-def _record_dict(result: invariants.HeatInvariantResult) -> dict:
+def _record_values(result: invariants.HeatInvariantResult) -> tuple:
+    """What JSON and CSV print: n, d, omega_used, route, num, den, pi_half, float, log10_abs."""
     value = result.value
-    return {
-        "n": result.n,
-        "d": result.d,
-        "omega_used": result.omega_used,
-        "route": result.route,
-        "value": {
-            "num": str(value.coeff.numerator),
-            "den": str(value.coeff.denominator),
-            "pi_half": value.pi_half,
-        },
-        "float_value": _float_or_none(value),
-        "log10_abs": _log10_abs(value),
-    }
+    return (
+        result.n,
+        result.d,
+        result.omega_used,
+        result.route,
+        str(value.coeff.numerator),
+        str(value.coeff.denominator),
+        value.pi_half,
+        _float_or_none(value),
+        _log10_abs(value),
+    )
+
+
+def _json_number(x: int | float | None) -> str:
+    return "null" if x is None else repr(x)
+
+
+# One record as a JSON line: the bytes of json.dumps(record) with its default
+# separators, without building an encoder per record.  Nothing needs escaping or
+# a NaN rule: route names are fixed ASCII identifiers and num/den are decimal
+# digits; float(ExactValue) raises OverflowError instead of returning inf, so
+# float_value is finite or null, and _log10_abs of a nonzero rational is finite.
+# An int prints as str(int) and a float as repr(float), as json.dumps prints them.
+def _json_line(result: invariants.HeatInvariantResult) -> str:
+    n, d, omega, route, num, den, pi_half, float_value, log10_abs = _record_values(result)
+    return (
+        f'{{"n": {n}, "d": {d}, "omega_used": {_json_number(omega)}, "route": "{route}", '
+        f'"value": {{"num": "{num}", "den": "{den}", "pi_half": {pi_half}}}, '
+        f'"float_value": {_json_number(float_value)}, "log10_abs": {_json_number(log10_abs)}}}\n'
+    )
 
 
 def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantResult]:
@@ -136,19 +153,14 @@ def _markdown_lines(
 
 def cmd_compute(args: argparse.Namespace) -> int:
     results = _compute_results(args)
-    records = map(_record_dict, results)
     with tolerate_closed_stdout():
         if args.format == "json":
-            for record in records:
-                print(json.dumps(record))
+            sys.stdout.writelines(map(_json_line, results))
         elif args.format == "csv":
             # csv writes None as an empty field and a float as its repr
             writer = csv.writer(sys.stdout)
             writer.writerow(CSV_HEADER)
-            writer.writerows(
-                [r["n"], r["d"], r["omega_used"], r["route"], *r["value"].values(), r["float_value"]]
-                for r in records
-            )
+            writer.writerows(_record_values(result)[:-1] for result in results)  # no log10_abs
         else:
             for line in _markdown_lines(args, results):
                 print(line)
@@ -223,7 +235,7 @@ def _verify_all(fmt: str) -> int:
         passed = estimate.status == "ok" and not _deviates(estimate, asymptotics.MAX_DEVIATION)
         with tolerate_closed_stdout():
             if fmt == "json":
-                print(json.dumps(dataclasses.asdict(estimate)))
+                print(json.dumps(vars(estimate)))
             else:
                 print(
                     f"{'PASS' if passed else 'FAIL'} asympt d={d} n_terms={n_terms}: "
@@ -250,7 +262,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-dev must be finite and >= 0, got {args.max_dev}")
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
     with tolerate_closed_stdout():
-        print(json.dumps(dataclasses.asdict(estimate)))
+        print(json.dumps(vars(estimate)))
     return 1 if _deviates(estimate, args.max_dev) else 0
 
 

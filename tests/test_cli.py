@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from heatsphere import asymptotics, opercalc
-from heatsphere.cli import SUITES, _parser, _record_dict, main
+from heatsphere.cli import SUITES, _float_or_none, _log10_abs, _parser, main
 from heatsphere.invariants import heat_invariant
 from heatsphere.verification import VerificationReport
 
@@ -78,31 +78,84 @@ def test_compute_markdown_shape(capsys):
     ]
 
 
-@pytest.mark.parametrize(
-    "box",
-    [
-        ("5", "1..6"),
-        ("0..3", "7..9"),
-        ("0..6", "1..12"),
-        ("0..4", "1..9", "--omega", "9"),
-        ("0..4", "1..9", "--formula", "general"),
-        ("0..4", "2..3", "--formula", "closed"),
-        ("0..6", "9", "--formula", "odd"),
-        ("0..6", "4", "--formula", "even"),
-    ],
-    ids="-".join,
-)
+def record_dict(result) -> dict:
+    """A compute record as a dict, built from the result, for json.dumps to encode."""
+    value = result.value
+    return {
+        "n": result.n,
+        "d": result.d,
+        "omega_used": result.omega_used,
+        "route": result.route,
+        "value": {
+            "num": str(value.coeff.numerator),
+            "den": str(value.coeff.denominator),
+            "pi_half": value.pi_half,
+        },
+        "float_value": _float_or_none(value),
+        "log10_abs": _log10_abs(value),
+    }
+
+
+def box_results(box):
+    n, d, *flags = box
+    args = _parser().parse_args(["compute", "--n", n, "--d", d, *flags])
+    return [
+        heat_invariant(n_, d_, omega=args.omega, formula=args.formula)
+        for n_ in args.n
+        for d_ in args.d
+    ]
+
+
+# each branch of the JSON line formatter: see test_compute_boxes_reach_every_branch
+COMPUTE_BOXES = [
+    ("5", "1..6"),
+    ("0..3", "7..9"),
+    ("0..6", "1..12"),
+    ("0..4", "1..9", "--omega", "9"),
+    ("0..4", "1..9", "--formula", "general"),
+    ("0..4", "2..3", "--formula", "closed"),
+    ("0..6", "9", "--formula", "odd"),
+    ("0..6", "4", "--formula", "even"),
+    ("290..300", "2"),
+    ("1", "1001"),
+    ("0..1", "272"),
+    ("6..9", "3", "--omega", "20"),
+    ("980", "2"),
+]
+
+
+@pytest.mark.parametrize("box", COMPUTE_BOXES, ids="-".join)
 def test_compute_prints_what_the_cell_path_prints(capsys, box):
     n, d, *flags = box
     code, out, _ = run_cli(capsys, "compute", "--n", n, "--d", d, *flags)
     assert code == 0
-    args = _parser().parse_args(["compute", "--n", n, "--d", d, *flags])
-    expected = [
-        json.dumps(_record_dict(heat_invariant(n_, d_, omega=args.omega, formula=args.formula)))
-        for n_ in args.n
-        for d_ in args.d
-    ]
-    assert out.splitlines() == expected
+    # byte for byte what json.dumps prints for the record of each cell's own result
+    assert out == "".join(json.dumps(record_dict(r)) + "\n" for r in box_results(box))
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """str() of any int, as main allows it (3.11 and later cap it at 4300 digits by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_compute_boxes_reach_every_branch(no_int_digit_limit):
+    records = [record_dict(r) for box in COMPUTE_BOXES for r in box_results(box)]
+    assert {r["route"] for r in records} == {"weyl", "odd", "even", "general", "closed"}
+    assert {r["omega_used"] is None for r in records} == {True, False}
+    floats = [r["float_value"] for r in records]
+    assert None in floats and 0.0 in floats and any(f and f < 0 for f in floats)
+    # a subnormal and a double past 1e16, both of which repr writes with an exponent
+    assert any(f and abs(f) < sys.float_info.min for f in floats)
+    assert any(f and abs(f) >= 1e16 for f in floats)
+    assert any(r["value"]["num"] == "0" and r["log10_abs"] is None for r in records)
+    assert any(r["log10_abs"] is not None and r["log10_abs"] < 0 for r in records)
+    assert max(len(r["value"]["num"]) for r in records) == 4330
 
 
 def test_compute_invalid_cell_prints_nothing(capsys):
