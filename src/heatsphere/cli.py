@@ -323,21 +323,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+: str() of a valid
-        sys.set_int_max_str_digits(0)  # coefficient may pass the default 4300 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:  # Python 3.11+: str() of a valid coefficient may pass
+        sys.set_int_max_str_digits(0)  # the default 4300 digits; lifted for main only
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+        _check_machine_sized(args)
+        return args.func(args)
+    except SystemExit as exc:  # argparse's exits: help, usage errors
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    try:
-        _check_machine_sized(args)
-        return args.func(args)
     except (ValueError, OverflowError, asymptotics.TruncationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

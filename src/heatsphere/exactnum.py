@@ -194,12 +194,12 @@ def omega_sum(omega: int, n: int, c: int, inners: Sequence[int], ratio: int = 1)
     as one integer over ratio^omega omega! (omega+n)! (2omega+c)!, reading inners[0..omega]."""
     if omega + n < 0:
         return Fraction(0)
-    total = 0
+    # ascending Horner: term j gets ratio^(omega-j) omega!/(omega-j)! (omega+n)!/(j+n)!
+    # (2omega+c)!/(2j+c)!; the factor j + n = 0 at j = -n clears every term below it
+    total, perm = 0, 1  # perm = omega!/(omega-j)!
     for j in range(omega + 1):
-        total *= ratio  # Horner: term j gets ratio^(omega-j)
-        if j + n >= 0:
-            scale = math.perm(omega, j) * math.perm(omega + n, omega - j)
-            total += inners[j] * scale * math.perm(2 * omega + c, 2 * (omega - j))
+        total = total * (ratio * (j + n) * (2 * j + c - 1) * (2 * j + c)) + inners[j] * perm
+        perm *= omega - j
     denominator = math.factorial(omega) * math.factorial(omega + n) * math.factorial(2 * omega + c)
     return Fraction(total, ratio**omega * denominator)
 

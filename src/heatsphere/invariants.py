@@ -2,8 +2,9 @@
 
 Route "general" is the omega-parametrized double sum over the spectrum,
 valid for every omega >= 2n (and only there: omega = 2n-1 provably gives a
-different number, see `verify_sharpness`).  Routes "odd" and "even" are the
-dimension-parity reductions driven by coefficient tables of the even
+different number, see `verify_sharpness`); each inner sum is a divided
+difference, computed as h_n of the eigenvalues.  Routes "odd" and "even" are
+the dimension-parity reductions driven by coefficient tables of the even
 polynomial prod(z^2 - beta^2); route "closed" covers the one-line formulas
 for d in {1, 2, 3, 5, 7}; route "weyl" is the n = 0 leading term.
 
@@ -28,7 +29,7 @@ from .exactnum import (
     gamma_half,
     omega_sum,
 )
-from .spectrum import eigenvalue, multiplicity, weyl_leading_term
+from .spectrum import eigenvalue, multiplicity, weyl_leading_term  # noqa: F401 (bench traces it)
 from .verification import VerificationReport
 
 CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
@@ -102,17 +103,18 @@ def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
 
 
 def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
-    # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n), over (2j+d)!
-    lams: list[int] = []
-    powers: list[int] = []  # powers[k-1] = mu_k lambda_k^(j+n) for the current j
+    # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n), over (2j+d)!; by
+    # mu_k (d-1)! prod_{i<=j, i!=k} (lambda_k - lambda_i) = (-1)^(j-k) (j-k)! (j+k+d-1)! it is
+    # (-1)^j (2j+d-1)!/(d-1)! h_n(lambda_0..lambda_j): a divided difference of x^(j+n)
+    h = [1] + [0] * n  # h[m] = h_m of the nodes so far; lambda_0 = 0 adds nothing
+    rising = 1  # (2j+d-1)!/(d-1)!
     yield 0  # j = 0: no k
     for j in range(1, omega + 1):
-        powers = [power * lam for power, lam in zip(powers, lams)]
-        lams.append(eigenvalue(j, d))
-        powers.append(multiplicity(j, d) * lams[-1] ** (j + n))
-        # i = j - k, from k = j down, so (-1)^k = (-1)^j (-1)^i
-        inner = alternating_binomial_sum(2 * j + d - 1, reversed(powers))
-        yield -inner if j % 2 else inner
+        lam = eigenvalue(j, d)
+        for m in range(1, n + 1):
+            h[m] += lam * h[m - 1]  # ascending: h[m - 1] already counts lam
+        rising *= (2 * j + d - 2) * (2 * j + d - 1)
+        yield -rising * h[n] if j % 2 else rising * h[n]
 
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:

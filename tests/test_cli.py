@@ -125,7 +125,7 @@ COMPUTE_BOXES = [
 
 
 @pytest.mark.parametrize("box", COMPUTE_BOXES, ids="-".join)
-def test_compute_prints_what_the_cell_path_prints(capsys, box):
+def test_compute_prints_what_the_cell_path_prints(capsys, box, no_int_digit_limit):
     n, d, *flags = box
     code, out, _ = run_cli(capsys, "compute", "--n", n, "--d", d, *flags)
     assert code == 0
@@ -214,6 +214,26 @@ def test_compute_prints_integers_past_the_default_digit_limit():
     assert max(len(value["num"]), len(value["den"])) > 4300
     (_, row) = csv.reader(io.StringIO(csv_out))
     assert row[4:6] == [value["num"], value["den"]]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python 3.11+")
+@pytest.mark.parametrize("limit", [None, 4321])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["compute", "--n", "980", "--d", "2"], 0), (["compute", "--n", "3..1", "--d", "2"], 2)],
+)
+def test_main_lifts_the_digit_limit_for_itself_only(capsys, argv, expected, limit):
+    before = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        setting = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert (len(out) > 4300) == (expected == 0)
+        assert sys.get_int_max_str_digits() == setting
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_compute_csv_leaves_an_unrepresentable_float_empty(capsys):

@@ -240,6 +240,23 @@ def omega_sum_transcription(omega, n, c, inners, ratio):
     )
 
 
+@pytest.mark.parametrize("ratio", [1, 4, 9])
+@pytest.mark.parametrize("c", [1, 2, 3, 6])
+def test_omega_sum_is_the_transcription_at_every_n(c, ratio):
+    # down to n = -omega - 2: below j = -n every term is 1/(j+n)! = 0
+    rng = random.Random(100 * c + ratio)
+    inners = [rng.randint(-(10**9), 10**9) for _ in range(15)]
+    for omega in range(len(inners)):
+        prefix = inners[: omega + 1]
+        for n in range(-omega - 2, 7):
+            expected = omega_sum_transcription(omega, n, c, prefix, ratio)
+            assert omega_sum(omega, n, c, inners, ratio) == expected
+            assert omega_sum(omega, n, c, prefix, ratio) == expected
+            if omega + n >= 0:
+                with pytest.raises(IndexError):
+                    omega_sum(omega, n, c, inners[:omega], ratio)
+
+
 @pytest.mark.parametrize("ratio", [1, 9])
 @pytest.mark.parametrize("n", [-3, 0, 2])
 def test_omega_sum_reads_its_own_prefix(n, ratio):

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from heatsphere.exactnum import ExactValue, bernoulli
 from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
+    _general_inners,
     _general_sums,
     heat_invariant,
     heat_invariant_closed,
@@ -23,7 +24,7 @@ from heatsphere.invariants import (
     verify_omega_stability,
     verify_sharpness,
 )
-from heatsphere.spectrum import weyl_leading_term
+from heatsphere.spectrum import eigenvalue, multiplicity, weyl_leading_term
 
 
 def sqrtpi(num, den=1):
@@ -311,6 +312,56 @@ def test_general_sum_big_cell_is_exact():
     value = heat_invariant_general(8, 11, 16)
     assert value == heat_invariant_odd(8, 5)
     assert value.pi_half == 1 and value.coeff != 0
+
+
+def paper_inners(n, d, omega):
+    # the double sum's inner sum as the paper writes it, before any identity:
+    # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n)
+    return [
+        sum(
+            (-1) ** k * comb(2 * j + d - 1, j - k) * multiplicity(k, d) * eigenvalue(k, d) ** (j + n)
+            for k in range(1, j + 1)
+        )
+        for j in range(omega + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_general_inners_are_the_papers_double_sum(n):
+    for d in range(1, 26):
+        assert list(_general_inners(n, d, 3 * n + 4)) == paper_inners(n, d, 3 * n + 4)
+
+
+def test_inner_sum_weights_are_the_divided_difference_weights():
+    # mu_k (d-1)! prod_{i<=j, i!=k} (lambda_k - lambda_i) = (-1)^(j-k) (j-k)! (j+k+d-1)!,
+    # which makes inner_j a divided difference of x^(j+n) over lambda_0..lambda_j
+    for d in range(1, 21):
+        for j in range(1, 15):
+            for k in range(1, j + 1):
+                lam = eigenvalue(k, d)
+                gaps = prod(lam - eigenvalue(i, d) for i in range(j + 1) if i != k)
+                expected = (-1) ** (j - k) * factorial(j - k) * factorial(j + k + d - 1)
+                assert multiplicity(k, d) * factorial(d - 1) * gaps == expected
+
+
+# the parity cells of the benchmark's deep pool: anchors (n, d) with the
+# variants (n + i, d + 2i), i = 0, 1, 2; even cells reach the Bernoulli
+# correction, odd cells the top of a long K-table
+DEEP_EVEN = (
+    (60, 80), (75, 100), (90, 126), (105, 150), (120, 170),
+    (135, 196), (150, 220), (170, 250), (200, 290), (238, 350),
+)
+DEEP_ODD = (
+    (20, 301), (30, 331), (40, 361), (50, 391), (60, 421),
+    (50, 461), (40, 511), (30, 581), (20, 701), (10, 997),
+)
+
+
+@pytest.mark.parametrize("n, d", DEEP_EVEN + DEEP_ODD)
+def test_general_route_checks_every_deep_parity_cell(n, d):
+    for i in range(3):
+        cell = n + i, d + 2 * i
+        assert heat_invariant_general(*cell, 2 * cell[0]) == heat_invariant(*cell).value
 
 
 def test_row_matches_cells_exactly():
