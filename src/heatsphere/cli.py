@@ -7,18 +7,23 @@ exact verification sweeps, or with `verify all` every sweep at its default
 box and then the `asympt` probes; `asympt` runs the numeric remainder-order
 cross-check.  Exit codes: 0 success, 1 a verification or deviation
 failure, 2 usage or input errors.
+
+Each command computes its results and its exit code before anything is
+written, and returns the code with its lines; `main` alone writes them to
+stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import asymptotics, identities, invariants, legendre, opercalc
@@ -26,22 +31,6 @@ from .exactnum import ExactValue
 from .verification import VerificationReport
 
 CSV_HEADER = ["n", "d", "omega", "route", "num", "den", "pi_half", "float"]
-
-
-@contextlib.contextmanager
-def tolerate_closed_stdout():
-    """Write to stdout in this block; a reader that has left ends the output only.
-
-    On a closed pipe (`... | head`) stdout is pointed at os.devnull, as the
-    Python docs advise, so that later writes and the flush at exit do not
-    raise again: no traceback, and the exit code stays the one the program
-    computed before it wrote.
-    """
-    try:
-        yield
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -148,23 +137,21 @@ def _markdown_lines(
     table += [[str(n), *cells[i * width : (i + 1) * width]] for i, n in enumerate(args.n)]
     widths = [max(map(len, column)) for column in zip(*table)]
     head, *body = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
-    return [head, "-|-".join("-" * w for w in widths), *body]
+    return [f"{line}\n" for line in (head, "-|-".join("-" * w for w in widths), *body)]
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     results = _compute_results(args)
-    with tolerate_closed_stdout():
-        if args.format == "json":
-            sys.stdout.writelines(map(_json_line, results))
-        elif args.format == "csv":
-            # csv writes None as an empty field and a float as its repr
-            writer = csv.writer(sys.stdout)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(_record_values(result)[:-1] for result in results)  # no log10_abs
-        else:
-            for line in _markdown_lines(args, results):
-                print(line)
-    return 0
+    if args.format == "json":
+        return 0, map(_json_line, results)  # formatted as written: no second copy of a big box
+    if args.format == "markdown":
+        return 0, _markdown_lines(args, results)
+    # csv writes None as an empty field and a float as its repr
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(_record_values(result)[:-1] for result in results)  # no log10_abs
+    return 0, [out.getvalue()]
 
 
 # verify target -> (runner, the flags it takes).  Each flag is passed as the
@@ -202,20 +189,17 @@ def _box(args: argparse.Namespace) -> dict:
     return box
 
 
-def _print_report(report: VerificationReport, fmt: str) -> None:
+def _report_lines(report: VerificationReport, fmt: str) -> list[str]:
     """One sweep's report as `verify <target>` prints it, in `verify all` too."""
-    with tolerate_closed_stdout():
-        if fmt == "json":
-            print(json.dumps(report.as_dict()))
-        else:
-            box = ", ".join(f"{name} in {span}" for name, span in report.parameter_box)
-            status = "PASS" if report.passed else "FAIL"
-            print(f"{status} {report.identity_name}: {report.points_checked} points ({box})")
-            for witness in report.failures:
-                params = ", ".join(f"{k}={v}" for k, v in witness.parameters.items())
-                print(f"  witness {params}: computed {witness.computed}, expected {witness.expected}")
-            for note in report.notes:
-                print(f"  note: {note}")
+    if fmt == "json":
+        return [json.dumps(report.as_dict()) + "\n"]
+    box = ", ".join(f"{name} in {span}" for name, span in report.parameter_box)
+    status = "PASS" if report.passed else "FAIL"
+    lines = [f"{status} {report.identity_name}: {report.points_checked} points ({box})"]
+    for witness in report.failures:
+        at = ", ".join(f"{k}={v}" for k, v in witness.parameters.items())
+        lines.append(f"  witness {at}: computed {witness.computed}, expected {witness.expected}")
+    return [f"{line}\n" for line in lines + [f"  note: {note}" for note in report.notes]]
 
 
 def _deviates(estimate: asymptotics.RemainderEstimate, max_dev: float) -> bool:
@@ -223,47 +207,42 @@ def _deviates(estimate: asymptotics.RemainderEstimate, max_dev: float) -> bool:
     return estimate.status == "ok" and estimate.relative_deviation > max_dev
 
 
-def _verify_all(fmt: str) -> int:
+def _verify_all(fmt: str) -> tuple[int, list[str]]:
     """Every suite at its default box, then every probe; 1 if any of them fails."""
-    failed = 0
+    failed, lines = 0, []
     for runner, _ in SUITES.values():
         report = runner()
-        _print_report(report, fmt)
+        lines += _report_lines(report, fmt)
         failed += not report.passed
     for d, n_terms in _PROBES:
         estimate = asymptotics.remainder_order(d, n_terms)
         passed = estimate.status == "ok" and not _deviates(estimate, asymptotics.MAX_DEVIATION)
-        with tolerate_closed_stdout():
-            if fmt == "json":
-                print(json.dumps(vars(estimate)))
-            else:
-                print(
-                    f"{'PASS' if passed else 'FAIL'} asympt d={d} n_terms={n_terms}: "
-                    f"status={estimate.status} observed={estimate.observed_order:.4f} "
-                    f"expected={estimate.expected_order}"
-                )
+        lines.append(
+            json.dumps(vars(estimate)) + "\n"
+            if fmt == "json"
+            else f"{'PASS' if passed else 'FAIL'} asympt d={d} n_terms={n_terms}: "
+            f"status={estimate.status} observed={estimate.observed_order:.4f} "
+            f"expected={estimate.expected_order}\n"
+        )
         failed += not passed
-    return 1 if failed else 0
+    return (1 if failed else 0), lines
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     box = _box(args)
     if args.target == "all":
         return _verify_all(args.format)
     report = SUITES[args.target][0](**box)
     if report.points_checked == 0:
         raise ValueError(f"verify {args.target}: the box holds no points")
-    _print_report(report, args.format)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), _report_lines(report, args.format)
 
 
-def cmd_asympt(args: argparse.Namespace) -> int:
+def cmd_asympt(args: argparse.Namespace) -> tuple[int, list[str]]:
     if not 0 <= args.max_dev < math.inf:
         raise ValueError(f"--max-dev must be finite and >= 0, got {args.max_dev}")
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
-    with tolerate_closed_stdout():
-        print(json.dumps(vars(estimate)))
-    return 1 if _deviates(estimate, args.max_dev) else 0
+    return (1 if _deviates(estimate, args.max_dev) else 0), [json.dumps(vars(estimate)) + "\n"]
 
 
 def _check_machine_sized(args: argparse.Namespace) -> None:
@@ -329,18 +308,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         _check_machine_sized(args)
-        return args.func(args)
-    except SystemExit as exc:  # argparse's exits: help, usage errors
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        code, lines = args.func(args)
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except SystemExit as exc:  # argparse exits with an int: 0 for --help, 2 for a usage error
+        return exc.code
+    except BrokenPipeError:  # a reader that has left (`... | head`) ends the output only:
+        # stdout goes to os.devnull, as the Python docs advise, so the flush at exit does not
+        # raise again; no traceback, and the exit code is the one the command computed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OverflowError, asymptotics.TruncationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    return code
 
 
 if __name__ == "__main__":

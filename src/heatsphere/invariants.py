@@ -241,6 +241,13 @@ def heat_invariant_closed(n: int, d: int) -> ExactValue:
     return ExactValue(Fraction(3) ** (2 * n - 6) * poly / (640 * math.factorial(n)), 1)
 
 
+def _integer(name: str, value: object) -> int:
+    """value as an int, numpy ints too; a bool, float, str or None is a ValueError naming it."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}: {name}={value!r}")
+    return operator.index(value)
+
+
 def heat_invariant(
     n: int, d: int, omega: int | None = None, formula: str = "auto"
 ) -> HeatInvariantResult:
@@ -254,23 +261,21 @@ def heat_invariant_row(
 ) -> list[HeatInvariantResult]:
     """The dispatcher over the routes: [a_{n,d} for n in ns], recording which route ran.
 
-    d, every n, the formula name and the omega/formula pairing are validated
-    before anything is computed.  n = 0 always resolves to the Weyl term (no
-    formula covers it), taking precedence over both `omega` and `formula`.
+    d, omega and every n (integers), the formula name and the omega/formula
+    pairing are validated before anything is computed.  n = 0 is always the
+    Weyl term (no formula covers it), ahead of both `omega` and `formula`.
     An explicit omega under "auto" forces the general route; otherwise parity
     picks odd/even.  The route is chosen once, and its kernel runs once over
     the distinct n >= 1, ascending: both parity routes are a Cauchy product
     of e^(rho^2 t), rho = (d-1)/2, with an n-independent series (Cahn-Wolf),
     so the K-table and the series are built once up to max(ns).
     """
-    ns = list(ns)
-    if isinstance(d, bool):
-        raise ValueError(f"n and d must be integers, not bool: d={d!r}")
+    d = _integer("d", d)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    omega = None if omega is None else _integer("omega", omega)
+    ns = [_integer("n", n) for n in ns]
     for n in ns:
-        if isinstance(n, bool):
-            raise ValueError(f"n and d must be integers, not bool: n={n!r}, d={d!r}")
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
     if formula not in FORMULAS:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -635,22 +636,39 @@ def exits_cleanly_into_a_closed_pipe(argv, first):
 
 
 CLOSED_PIPE_BOX = ["compute", "--n", "0..200", "--d", "1..20", "--format"]
+# each compute format -> the start of its first line
+FIRST_LINES = {"json": '{"n": 0, ', "csv": "n,d,omega,route,", "markdown": "n \\ d "}
 
 
-def test_compute_into_a_closed_pipe_exits_cleanly():
+@pytest.mark.parametrize("fmt", FIRST_LINES)
+def test_compute_into_a_closed_pipe_exits_cleanly(fmt):
     # every cell is computed before the first line, so a reader leaving early
     # cuts the output only: no traceback, exit 0
-    exits_cleanly_into_a_closed_pipe([*CLOSED_PIPE_BOX, "json"], '{"n": 0, ')
-
-
-def test_compute_markdown_into_a_closed_pipe_exits_cleanly():
-    # the markdown table, header first, is cut the same way
-    exits_cleanly_into_a_closed_pipe([*CLOSED_PIPE_BOX, "markdown"], "n \\ d ")
+    exits_cleanly_into_a_closed_pipe([*CLOSED_PIPE_BOX, fmt], FIRST_LINES[fmt])
 
 
 def test_verify_all_into_a_closed_pipe_exits_cleanly():
-    # every suite still runs with its output discarded, and all of them pass
+    # every suite runs before anything is written, and all of them pass
     exits_cleanly_into_a_closed_pipe(["verify", "all"], f"PASS {next(iter(SUITES))}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "s1", "--n", "1", "--offset=-1..-1"], 1),
+        (["asympt", "--d", "3", "--n-terms", "3", "--max-dev", "0.0001"], 1),
+        (["compute", "--n", "0..3", "--d", "2"], 0),
+    ],
+    ids=["verify", "asympt", "compute"],
+)
+def test_exit_code_survives_a_closed_stdout(argv, expected, monkeypatch):
+    # stdout is a pipe whose reader has already left: the write fails, and
+    # main still returns the code the command computed, raising nothing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(argv) == expected
 
 
 def test_module_entry_point():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -387,6 +388,28 @@ def test_row_validation():
     for ns, d in (([1, -1], 3), ([1, 2], 0), ([1, True], 3), ([1, 2], True)):
         with pytest.raises(ValueError):
             heat_invariant_row(ns, d)
+    # every non-integer n, d or omega is rejected by name before any work, not only bool
+    for n, d, omega, message in (
+        (1, 2.5, None, "d must be an integer, not float: d=2.5"),
+        (1, 3.0, None, "d must be an integer, not float: d=3.0"),
+        (2, 3, 4.0, "omega must be an integer, not float: omega=4.0"),
+        (2, 3, True, "omega must be an integer, not bool: omega=True"),
+        (0.0, 3, None, "n must be an integer, not float: n=0.0"),
+        (Fraction(2), 3, None, "n must be an integer, not Fraction: n=Fraction"),
+        ("1", 3, None, "n must be an integer, not str: n='1'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            heat_invariant(n, d, omega)
+
+    class Index:  # an integer type that is not int, as numpy's are
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert heat_invariant(Index(2), Index(3), Index(5)) == heat_invariant(2, 3, 5)
+    assert heat_invariant_row([Index(0), Index(1)], Index(4)) == heat_invariant_row([0, 1], 4)
     # d is checked before any n, so an empty row rejects it too
     for d, formula, message in (
         (0, "auto", "dimension must be positive, got 0"),
