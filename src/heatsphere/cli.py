@@ -316,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # a reader that has left (`... | head`) ends the output only:
         # stdout goes to os.devnull, as the Python docs advise, so the flush at exit does not
         # raise again; no traceback, and the exit code is the one the command computed
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (ValueError, OverflowError, asymptotics.TruncationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

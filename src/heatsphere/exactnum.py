@@ -13,7 +13,6 @@ rising factorials are `math.factorial`, `math.comb`, `math.perm`, `math.prod`.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections.abc import Iterable, Sequence
@@ -219,34 +218,53 @@ def gamma_half(m: int) -> ExactValue:
 
 
 # _tangents[k] = T_(2k-1), from tan z = sum T_(2k-1) z^(2k-1)/(2k-1)!, with a
-# placeholder at k = 0; guarded so concurrent callers never see a half-built table.
+# placeholder at k = 0; _series = [L, L F_1, ..., L F_k] for the k built so far, over
+# one common denominator L (bernoulli_series).  Both only grow, under one lock, so
+# concurrent callers never see a half-built table.
 _tangents: list[int] = [0, 1]
+_series: list[int] = [1]
 _tangent_lock = threading.Lock()
+
+
+def _grow_tangents(count: int) -> None:
+    # the caller holds _tangent_lock; a longer table is rebuilt at least twice as long
+    if len(_tangents) <= count:
+        size = max(count, 2 * len(_tangents) - 2)
+        table = [0] + [math.factorial(k) for k in range(size)]
+        for k in range(2, size + 1):
+            for j in range(k, size + 1):
+                table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
+        _tangents[:] = table
 
 
 def tangent_numbers(count: int) -> list[int]:
     """[0, T_1, T_3, ..., T_(2count-1)] by Brent & Harvey's integer algorithm
     (arXiv:1108.0286); a longer request rebuilds the table at least twice as long."""
     with _tangent_lock:
-        if len(_tangents) <= count:
-            size = max(count, 2 * len(_tangents) - 2)
-            table = [0] + [math.factorial(k) for k in range(size)]
-            for k in range(2, size + 1):
-                for j in range(k, size + 1):
-                    table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
-            _tangents[:] = table
+        _grow_tangents(count)
         return _tangents[: count + 1]
 
 
-@functools.lru_cache(maxsize=1)
-def bernoulli_series(top: int) -> tuple[int, tuple[int, ...]]:
+def bernoulli_series(top: int) -> tuple[int, list[int]]:
     """(L, w): F_p = T_(2p-1) (2-4^p) / (4^p (4^p-1)) for p = 1..top as the integers
-    w[p-1] = L F_p over the lcm L of their denominators.  The even route's rows all
-    read one top, so the last top's series is kept; a new top is built afresh."""
-    tangents = tangent_numbers(top)
-    f = [Fraction(tangents[p] * (2 - 4**p), 4**p * (4**p - 1)) for p in range(1, top + 1)]
-    lcm = math.lcm(*(fp.denominator for fp in f))
-    return lcm, tuple(fp.numerator * (lcm // fp.denominator) for fp in f)
+    w[p-1] = L F_p over one common denominator L, which is a multiple of the lcm of
+    their denominators.  The series is kept and grows: a longer top builds only the
+    new F_p, and rescales the old entries once if L grows; a shorter one is a prefix
+    over the same L."""
+    with _tangent_lock:
+        built = len(_series) - 1
+        if built < top:
+            _grow_tangents(top)
+            f = [
+                Fraction(_tangents[p] * (2 - 4**p), 4**p * (4**p - 1))
+                for p in range(built + 1, top + 1)
+            ]
+            lcm = math.lcm(_series[0], *(fp.denominator for fp in f))
+            if lcm != _series[0]:
+                scale = lcm // _series[0]
+                _series[:] = [entry * scale for entry in _series]
+            _series.extend(fp.numerator * (lcm // fp.denominator) for fp in f)
+        return _series[0], _series[1 : top + 1]
 
 
 def bernoulli(m: int) -> Rational:
@@ -260,4 +278,7 @@ def bernoulli(m: int) -> Rational:
         return Fraction(1)
     p = m // 2
     sign = 1 if p % 2 else -1
-    return Fraction(sign * m * tangent_numbers(p)[p], 4**p * (4**p - 1))
+    with _tangent_lock:
+        _grow_tangents(p)
+        tangent = _tangents[p]
+    return Fraction(sign * m * tangent, 4**p * (4**p - 1))

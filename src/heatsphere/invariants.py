@@ -145,13 +145,16 @@ def _odd_values(alpha: int, ns: list[int]) -> Iterator[ExactValue]:
     # alpha^(2m) Gamma(s+1/2) / m! with m = n - alpha + s; it vanishes for m < 0
     # (reciprocal gamma).  Gamma(s+1/2) = sqrt(pi) (2s)!/(4^s s!) puts every term over
     # the one denominator 4^alpha n! (2 alpha)!; with k = alpha - s the numerator is
-    # _binomial_sum(n, u, alpha^2), u[k] = k! c[s] (2s)!/s! 4^k.  c[0] = 0 drops k = alpha.
+    # _binomial_sum(n, u, alpha^2), u[k] = c[s] g_k with g_k = k! (2s)!/s! 4^k, stepped
+    # from g_0 = (2 alpha)!/alpha! by g_k = g_(k-1) 2k / (2s + 1), exactly.  c[0] = 0 drops
+    # k = alpha.
     top = min(ns[-1], alpha - 1)
     c = k_table_odd(alpha, top)
-    u = [
-        math.factorial(k) * c[-1 - k] * math.perm(2 * (alpha - k), alpha - k) << 2 * k
-        for k in range(top + 1)
-    ]
+    g = math.perm(2 * alpha, alpha)
+    u = [c[-1] * g]
+    for k in range(1, top + 1):
+        g = g * 2 * k // (2 * (alpha - k) + 1)
+        u.append(c[-1 - k] * g)
     scale = 4**alpha * math.factorial(2 * alpha)
     for n in ns:
         yield ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * math.factorial(n)), 1)
@@ -168,17 +171,23 @@ def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
 def _even_values(nu: int, ns: list[int]) -> Iterator[ExactValue]:
     # a_{n, 2 nu} for the ascending ns >= 1.  With h = nu - 1/2 and q = (2h)^2, the
     # polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)! is _binomial_sum(n, u, q)
-    # over 4^n n!, u[t] = t! (nu-1-t)! c[nu-1-t], t < nu.  For n >= nu, with m = n - nu,
+    # over 4^n n!, u[t] = c[nu-1-t] f_t with f_t = t! (nu-1-t)!, stepped from f_0 = (nu-1)!
+    # by f_t = f_(t-1) t / (nu - t), exactly, t < nu.  For n >= nu, with m = n - nu,
     # B_2p from T_(2p-1) and 1/((n-t-p)! (p-nu+t)!) = C(m, n-t-p)/m!, the Bernoulli
     # correction times 4^n n! is 2 (-1)^nu n!/m! sum_t (-1)^t c[nu-1-t] [x^(n-t)] W,
     # W = (1 + qx)^m F(x), F_p = T_(2p-1) (2-4^p) / (4^p (4^p-1)) as integers over
-    # their lcm L (bernoulli_series, which keeps them for the next row at this top).
+    # one common denominator L (bernoulli_series, which keeps them and grows L as the
+    # tops asked grow; a lower top reads a prefix over the same L).
     # Only W's coefficients from x^(m+1) up are read, at this m and every later one,
     # so w[i] holds that of x^(m+1+i): one step of m is one pass that drops w[0], and
     # the correction is -2 n!/m! sum_i (-1)^i c[i] w[i] / L.
     top = ns[-1]
     c = k_table_even(nu, min(nu - 1, top))
-    u = [math.factorial(t) * math.factorial(nu - 1 - t) * c[-1 - t] for t in range(len(c))]
+    f = math.factorial(nu - 1)
+    u = [c[-1] * f]
+    for t in range(1, len(c)):
+        f = f * t // (nu - t)
+        u.append(c[-1 - t] * f)
     q = (2 * nu - 1) ** 2
     scale = math.factorial(2 * nu - 1)
     if top >= nu:

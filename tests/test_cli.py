@@ -652,23 +652,38 @@ def test_verify_all_into_a_closed_pipe_exits_cleanly():
     exits_cleanly_into_a_closed_pipe(["verify", "all"], f"PASS {next(iter(SUITES))}: ")
 
 
+def main_into_a_closed_stdout(argv, monkeypatch):
+    # stdout is a pipe whose reader has already left, so the write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        return main(argv)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
         (["verify", "s1", "--n", "1", "--offset=-1..-1"], 1),
         (["asympt", "--d", "3", "--n-terms", "3", "--max-dev", "0.0001"], 1),
         (["compute", "--n", "0..3", "--d", "2"], 0),
+        (["compute", "--n", "0..3", "--d", "2", "--format", "csv"], 0),
     ],
-    ids=["verify", "asympt", "compute"],
+    ids=["verify", "asympt", "compute", "compute-csv"],
 )
 def test_exit_code_survives_a_closed_stdout(argv, expected, monkeypatch):
-    # stdout is a pipe whose reader has already left: the write fails, and
     # main still returns the code the command computed, raising nothing
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    with open(write_end, "w") as closed:
-        monkeypatch.setattr(sys, "stdout", closed)
-        assert main(argv) == expected
+    assert main_into_a_closed_stdout(argv, monkeypatch) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_a_closed_stdout_leaks_no_file_descriptor(monkeypatch):
+    argv = ["compute", "--n", "0..3", "--d", "2"]
+    assert main_into_a_closed_stdout(argv, monkeypatch) == 0  # imports and caches settle
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        assert main_into_a_closed_stdout(argv, monkeypatch) == 0
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_module_entry_point():

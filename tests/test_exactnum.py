@@ -14,6 +14,7 @@ from heatsphere.exactnum import (
     Polynomial,
     alternating_binomial_sum,
     bernoulli,
+    bernoulli_series,
     gamma_half,
     omega_sum,
     tangent_numbers,
@@ -103,6 +104,42 @@ def test_tangent_table_growth_is_thread_safe(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 160 and all(got == truth for got in results)
+
+
+def test_bernoulli_series_growth_is_thread_safe(monkeypatch):
+    # F_p = (-1)^(p-1) B_2p (2 - 4^p) / (2p), from the in-test oracle
+    f = [(-1) ** (p - 1) * akiyama_tanigawa(2 * p) * (2 - 4**p) / (2 * p) for p in range(1, 41)]
+    lcm = math.lcm(*(fp.denominator for fp in f))
+    results = []
+
+    def worker(seed):
+        # each thread asks its own tops in its own order, so growth interleaves with reads
+        tops = random.Random(seed).sample(range(41), 12)
+        results.append([(top, *bernoulli_series(top)) for top in tops])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+            monkeypatch.setattr(exactnum, "_series", [1])
+            threads = [threading.Thread(target=worker, args=(8 * round_ + i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            # a lost or doubled extension leaves the kept series off its exact form
+            built = len(exactnum._series) - 1
+            assert exactnum._series[0] == math.lcm(*(fp.denominator for fp in f[:built]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 160
+    for asked in results:
+        for top, got_lcm, w in asked:
+            assert len(w) == top and [Fraction(wp, got_lcm) for wp in w] == f[:top], top
+            assert got_lcm % math.lcm(*(fp.denominator for fp in f[:top])) == 0
+    assert bernoulli_series(40) == (lcm, [fp.numerator * (lcm // fp.denominator) for fp in f])
 
 
 def test_exact_value_zero_normalizes():

@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +11,11 @@ from heatsphere.exactnum import ExactValue, bernoulli
 from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
+    _binomial_sum,
+    _even_values,
     _general_inners,
     _general_sums,
+    _odd_values,
     heat_invariant,
     heat_invariant_closed,
     heat_invariant_even,
@@ -494,3 +497,47 @@ def test_crosscheck_raises_the_general_routes_error_first():
         verify_crosscheck((-1, 2), (0, 1))
     with pytest.raises(ValueError, match="dimension must be positive, got 0"):
         verify_crosscheck((1, 2), (0, 1))
+
+
+# The parity routes' weights as they were first written, each from factorials at its
+# own index; the routes now step them from index to index, and must agree exactly.
+
+
+def factorial_weights_odd(alpha, ns):
+    top = min(ns[-1], alpha - 1)
+    c = k_table_odd(alpha, top)
+    u = [factorial(k) * c[-1 - k] * perm(2 * (alpha - k), alpha - k) << 2 * k for k in range(top + 1)]
+    scale = 4**alpha * factorial(2 * alpha)
+    return [ExactValue(Fraction(_binomial_sum(n, u, alpha * alpha), scale * factorial(n)), 1) for n in ns]
+
+
+def factorial_weights_even(nu, ns):
+    c = k_table_even(nu, min(nu - 1, ns[-1]))
+    u = [factorial(t) * factorial(nu - 1 - t) * c[-1 - t] for t in range(len(c))]
+    q = (2 * nu - 1) ** 2
+    # F_p = (-1)^(p-1) B_2p (2 - 4^p) / (2p) as integers over their lcm L
+    f = [(-1) ** (p - 1) * bernoulli(2 * p) * (2 - 4**p) / (2 * p) for p in range(1, ns[-1] + 1)]
+    den = lcm(*(fp.denominator for fp in f))
+    w = [0] + [int(fp * den) for fp in f]
+    values = []
+    for n in ns:
+        m, correction = n - nu, 0
+        for i in range(len(c) if m >= 0 else 0):
+            # L [x^(m+1+i)] (1 + qx)^m F(x)
+            w_i = sum(comb(m, j) * q**j * w[m + 1 + i - j] for j in range(m + 1))
+            correction += (-1) ** i * c[i] * w_i
+        total = _binomial_sum(n, u, q) * den - 2 * perm(n, nu) * correction
+        values.append(ExactValue(Fraction(total, 4**n * factorial(n) * factorial(2 * nu - 1) * den), 0))
+    return values
+
+
+@pytest.mark.parametrize("index", range(1, 41))
+def test_stepped_weights_equal_the_factorial_weights(index):
+    # rows to 2 index + 3 reach t = nu - 1; single cells up to n = index cut top short of
+    # alpha - 1 and nu - 1, and then meet it
+    ns = list(range(1, 2 * index + 4))
+    assert list(_odd_values(index, ns)) == factorial_weights_odd(index, ns)
+    assert list(_even_values(index, ns)) == factorial_weights_even(index, ns)
+    for n in range(1, index + 1):
+        assert list(_odd_values(index, [n])) == factorial_weights_odd(index, [n]), n
+        assert list(_even_values(index, [n])) == factorial_weights_even(index, [n]), n

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from heatsphere import exactnum
 from heatsphere.exactnum import bernoulli, bernoulli_series
 from heatsphere.invariants import heat_invariant, heat_invariant_row
 
@@ -45,14 +46,21 @@ def test_deep_pool_cell(n, d):
     assert digest(heat_invariant(n, d).value) == REFERENCE["deep"][f"{n},{d}"]
 
 
-def fresh_bernoulli_series(top):
-    # F_p = (-1)^(p-1) B_2p (2 - 4^p) / (2p) over the lcm of its denominators
-    f = [(-1) ** (p - 1) * bernoulli(2 * p) * (2 - 4**p) / (2 * p) for p in range(1, top + 1)]
-    lcm = math.lcm(*(fp.denominator for fp in f))
-    return lcm, tuple(int(fp * lcm) for fp in f)
+def exact_f(top):
+    # F_p = (-1)^(p-1) B_2p (2 - 4^p) / (2p), p = 1..top
+    return [(-1) ** (p - 1) * bernoulli(2 * p) * (2 - 4**p) / (2 * p) for p in range(1, top + 1)]
 
 
-def test_even_rows_and_a_taller_cell_share_the_cached_bernoulli_series():
+def test_even_rows_and_a_taller_cell_share_the_cached_bernoulli_series(monkeypatch):
+    # start from an empty series; ask tops ascending, descending and between the rows
+    monkeypatch.setattr(exactnum, "_series", [1])
+
+    def check_series(top):
+        lcm, w = bernoulli_series(top)
+        f = exact_f(top)
+        assert len(w) == top and all(wp == lcm * fp for wp, fp in zip(w, f)), top
+        assert lcm % math.lcm(*(fp.denominator for fp in f)) == 0, top
+
     def check_rows():
         for d in range(2, 73, 2):
             for result in heat_invariant_row(range(33), d):
@@ -61,10 +69,14 @@ def test_even_rows_and_a_taller_cell_share_the_cached_bernoulli_series():
     def check_tall_cell():
         assert digest(heat_invariant(240, 354).value) == REFERENCE["deep"]["240,354"]
 
+    for top in (1, 2, 17, 32):
+        check_series(top)
     check_rows()
     check_tall_cell()
+    for top in (240, 120, 32, 1):
+        check_series(top)
     check_rows()
+    for top in (7, 241, 0, 250):
+        check_series(top)
+        check_rows()
     check_tall_cell()
-    for top in (1, 32, 240):
-        assert bernoulli_series(top) == fresh_bernoulli_series(top), top
-    assert bernoulli_series.cache_info().currsize == 1
