@@ -240,6 +240,8 @@ def _grow_tangents(count: int) -> None:
 def tangent_numbers(count: int) -> list[int]:
     """[0, T_1, T_3, ..., T_(2count-1)] by Brent & Harvey's integer algorithm
     (arXiv:1108.0286); a longer request rebuilds the table at least twice as long."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     with _tangent_lock:
         _grow_tangents(count)
         return _tangents[: count + 1]
@@ -251,6 +253,8 @@ def bernoulli_series(top: int) -> tuple[int, list[int]]:
     their denominators.  The series is kept and grows: a longer top builds only the
     new F_p, and rescales the old entries once if L grows; a shorter one is a prefix
     over the same L."""
+    if top < 0:
+        raise ValueError(f"top must be nonnegative, got {top}")
     with _tangent_lock:
         built = len(_series) - 1
         if built < top:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
+import threading
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,14 +47,15 @@ class HeatInvariantResult:
     value: ExactValue
 
 
-def _expand_even_product(roots: Iterable[int], top: int) -> list[int]:
-    # Ascending coefficients of prod (u - r) over the N integer roots r, only the top + 1
-    # highest of them (all, for top >= N); a generator of roots keeps memory to top, not N.
-    # Built from the top down, desc[k] the coefficient of u^(N - k): the product is monic,
+def _expand_even_product(roots: Iterable[int], top: int, start: Sequence[int] = (1,)) -> list[int]:
+    # Ascending coefficients of start * prod (u - r) over the integer roots r, only the top + 1
+    # highest of them (all, for top >= the degree); a monic, whole `start` lets a kept product
+    # continue where it stopped.  A generator of roots keeps memory to top, not to their number.
+    # Built from the top down, desc[k] the coefficient of u^(degree - k): the product is monic,
     # so the top entries never read one below them, and a full desc grows by one a step.
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
-    desc = [1]
+    desc = list(reversed(start))
     for r in roots:
         if len(desc) <= top:
             desc.append(0)
@@ -72,17 +74,37 @@ def k_table_odd(alpha: int, top: int | None = None) -> list[int]:
     return _expand_even_product((b * b for b in range(alpha)), alpha if top is None else top)
 
 
+# _even_product = prod_{i<N} (U - (2i+1)^2), ascending, for the N roots kept so far.  Every
+# whole even K-table is a prefix product of it, so it only grows, under the lock, and
+# stays for the process, as exactnum's Bernoulli series does (about 40 KB at nu = 177).
+_even_product: list[int] = [1]
+_even_lock = threading.Lock()
+
+
 def k_table_even(nu: int, top: int | None = None) -> list[int]:
     """Ascending coefficients c of prod_{i<nu-1} (U - (2i+1)^2), U = 4z^2: the roots
     b = 1/2, ..., nu-3/2 scaled by 4, so K_t (of z^(2nu-2-2t)) is c[nu-1-t] / 4^t.
 
     With `top`, only c[nu-1-top..nu-1] (K_0..K_top) is built and returned, so read
     it from the end: K_t = c[-1-t] / 4^t for t <= top.
+
+    The whole tables are one kept product that only grows and stays for the process:
+    a whole table (top >= nu - 1) at or above it continues it through the new roots and
+    returns a copy.  A cut table, or a whole one below the kept product, is built apart,
+    so a cut table of a huge nu stays linear in nu and leaves the kept product alone.
     """
     if nu < 1:
         raise ValueError(f"nu must be positive, got {nu}")
-    roots = ((2 * i + 1) ** 2 for i in range(nu - 1))
-    return _expand_even_product(roots, nu - 1 if top is None else top)
+    top = nu - 1 if top is None else top
+    if top >= nu - 1:
+        with _even_lock:
+            built = len(_even_product) - 1
+            if nu - 1 >= built:
+                roots = ((2 * i + 1) ** 2 for i in range(built, nu - 1))
+                table = _expand_even_product(roots, top, _even_product)
+                _even_product[:] = table
+                return table
+    return _expand_even_product(((2 * i + 1) ** 2 for i in range(nu - 1)), top)
 
 
 def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
@@ -169,10 +191,13 @@ def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
 
 
 def _even_values(nu: int, ns: list[int]) -> Iterator[ExactValue]:
-    # a_{n, 2 nu} for the ascending ns >= 1.  With h = nu - 1/2 and q = (2h)^2, the
-    # polynomial part sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)! is _binomial_sum(n, u, q)
-    # over 4^n n!, u[t] = c[nu-1-t] f_t with f_t = t! (nu-1-t)!, stepped from f_0 = (nu-1)!
-    # by f_t = f_(t-1) t / (nu - t), exactly, t < nu.  For n >= nu, with m = n - nu,
+    # a_{n, 2 nu} for the ascending ns >= 1.  c is the K-table to K_min(nu-1, top).  A row
+    # reaching n >= nu - 1 asks the whole table: at or above the kept product (k_table_even)
+    # it continues that one growing product; below the kept product it is built apart, as
+    # the cut table of a shorter row is.  With h = nu - 1/2 and q = (2h)^2, the polynomial part
+    # sum_t (nu-1-t)! h^(2n-2t) K_t / (n-t)! is _binomial_sum(n, u, q) over 4^n n!,
+    # u[t] = c[nu-1-t] f_t with f_t = t! (nu-1-t)!, stepped from f_0 = (nu-1)! by
+    # f_t = f_(t-1) t / (nu - t), exactly, t < nu.  For n >= nu, with m = n - nu,
     # B_2p from T_(2p-1) and 1/((n-t-p)! (p-nu+t)!) = C(m, n-t-p)/m!, the Bernoulli
     # correction times 4^n n! is 2 (-1)^nu n!/m! sum_t (-1)^t c[nu-1-t] [x^(n-t)] W,
     # W = (1 + qx)^m F(x), F_p = T_(2p-1) (2-4^p) / (4^p (4^p-1)) as integers over

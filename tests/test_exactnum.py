@@ -81,6 +81,17 @@ def test_bernoulli_table_growth(monkeypatch):
     assert tangent_numbers(4) == [0, 1, 2, 16, 272]
 
 
+@pytest.mark.parametrize("call, name", [(tangent_numbers, "count"), (bernoulli_series, "top")])
+@pytest.mark.parametrize("value", [-1, -3])
+def test_a_negative_count_raises_after_the_tables_grew(call, name, value):
+    # a negative slice bound read a tail of the grown tables before
+    tangent_numbers(10)
+    bernoulli_series(10)
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative, got {value}"):
+        call(value)
+    assert tangent_numbers(0) == [0] and bernoulli_series(0)[1] == []
+
+
 def test_tangent_table_growth_is_thread_safe(monkeypatch):
     truth = {m: akiyama_tanigawa(m) for m in range(0, 81, 2)}
     results = []

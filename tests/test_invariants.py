@@ -1,6 +1,10 @@
+import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, lcm, perm, prod
 
 import pytest
@@ -47,11 +51,37 @@ def test_k_table_odd_is_monic():
         assert k_table_odd(alpha)[alpha] == 1
 
 
-def test_k_table_even():
+def product_coefficients(roots):
+    # in-test oracle: ascending coefficients of prod (u - r), multiplied out one root at a time
+    c = [1]
+    for r in roots:
+        c = [(c[k - 1] if k else 0) - r * (c[k] if k < len(c) else 0) for k in range(len(c) + 1)]
+    return c
+
+
+def fresh_even(nu):
+    return product_coefficients((2 * i + 1) ** 2 for i in range(nu - 1))
+
+
+def test_k_table_even(monkeypatch):
     # K_t = c[nu-1-t] / 4^t: K = 1; K = 1, -1/4; K = 1, -5/2, 9/16
+    monkeypatch.setattr(invariants, "_even_product", [1])
     assert k_table_even(1) == [1]
     assert k_table_even(2) == [-1, 1]
     assert k_table_even(3) == [9, -10, 1]
+    # the whole tables are one kept product that only grows; one below it is built apart
+    assert k_table_even(9) == fresh_even(9) and invariants._even_product == fresh_even(9)
+    for nu in (8, 3, 1, 9, 2):
+        assert k_table_even(nu) == fresh_even(nu)
+    assert invariants._even_product == fresh_even(9)
+    # every table handed out is a copy: mutating one changes neither the kept product
+    # nor the tables after it
+    for nu in (9, 4, 12):
+        c = k_table_even(nu)
+        c[0] += 1
+        c.append(7)
+        assert k_table_even(nu) == fresh_even(nu)
+    assert k_table_even(13) == fresh_even(13)
 
 
 def test_k_table_even_leading_entry():
@@ -59,14 +89,74 @@ def test_k_table_even_leading_entry():
         assert k_table_even(nu)[nu - 1] == 1
 
 
-def test_k_table_top_is_the_top_of_the_full_table():
-    # the product is monic, so its highest coefficients are built alone;
-    # a top at or past the whole table returns the whole table
-    for size in range(1, 61):
-        odd, even = k_table_odd(size), k_table_even(size)
-        for top in range(size + 2):
-            assert k_table_odd(size, top) == odd[-1 - top:]
-            assert k_table_even(size, top) == even[-1 - top:]
+def test_k_table_top_is_the_top_of_the_full_table(monkeypatch):
+    # the product is monic, so its highest coefficients are built alone; a top at or past
+    # the whole table returns the whole table.  Each size asks its cut tops between whole
+    # ones, and from an empty kept product, with sizes ascending, descending and shuffled,
+    # whole even tables grow it, read it or fall below it
+    ascending = list(range(1, 61))
+    truth = {n: (product_coefficients(b * b for b in range(n)), fresh_even(n)) for n in ascending}
+    for sizes in (ascending, ascending[::-1], random.Random(60).sample(ascending, 60)):
+        monkeypatch.setattr(invariants, "_even_product", [1])
+        for size in sizes:
+            odd, even = truth[size]
+            assert k_table_odd(size) == odd and k_table_even(size) == even
+            for top in range(size + 2):
+                assert k_table_odd(size, top) == odd[-1 - top:]
+                assert k_table_even(size, top) == even[-1 - top:]
+        assert invariants._even_product == fresh_even(60)
+
+
+def test_a_cut_even_table_leaves_the_kept_product_alone(monkeypatch):
+    # a cut table of a huge nu is built apart, so it stays linear in nu
+    monkeypatch.setattr(invariants, "_even_product", [1])
+    k_table_even(5)
+    for nu, top in ((20_001, 3), (40, 38), (6, 4)):
+        c = k_table_even(nu, top)
+        assert len(c) == top + 1 and c[-1] == 1
+        assert invariants._even_product == fresh_even(5)
+
+
+def test_k_table_even_growth_is_thread_safe(monkeypatch):
+    truth = {nu: fresh_even(nu) for nu in range(1, 61)}
+    results = []
+    start = threading.Barrier(8)
+
+    def worker(seed):
+        # all threads at once, each up its own ascending sizes, whole and cut tables mixed, so
+        # growth overlaps growth; after each call the thread notes the kept size it sees
+        rng = random.Random(seed)
+        sizes = sorted(rng.sample(sorted(truth), 15))
+        asks = [(nu, rng.choice([None, nu - 1, nu, nu // 2])) for nu in sizes]
+        start.wait(timeout=30)
+        got = []
+        for nu, top in asks:
+            got.append((nu, top, k_table_even(nu, top), len(invariants._even_product)))
+        results.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            monkeypatch.setattr(invariants, "_even_product", [1])
+            threads = [threading.Thread(target=worker, args=(8 * round_ + i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            # a lost or doubled extension leaves the kept product off a fresh one
+            whole = [nu for nu, top, *_ in chain(*results[-8:]) if top is None or top >= nu - 1]
+            assert invariants._even_product == truth[max(whole)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 160
+    for asked in results:
+        # the kept product only grows: one stored after a longer one would shrink it
+        kept = [size for *_, size in asked]
+        assert kept == sorted(kept), kept
+        for nu, top, c, _ in asked:
+            assert c == truth[nu][-1 - (nu - 1 if top is None else top):], (nu, top)
 
 
 @pytest.mark.parametrize("k_table, root_sum", [
@@ -85,15 +175,18 @@ def test_k_table_memory_follows_top_not_the_dimension(k_table, root_sum):
     assert len(c) == 3 and c[-1] == 1 and c[-2] == -root_sum(20_000)
 
 
-def test_k_table_validation():
+def test_k_table_validation(monkeypatch):
+    monkeypatch.setattr(invariants, "_even_product", [1])
     with pytest.raises(ValueError):
         k_table_odd(0)
     with pytest.raises(ValueError):
         k_table_even(0)
     with pytest.raises(ValueError, match="top must be nonnegative, got -1"):
         k_table_odd(3, -1)
-    with pytest.raises(ValueError, match="top must be nonnegative, got -2"):
-        k_table_even(3, -2)
+    for nu, top in ((3, -2), (1, -1), (50, -3)):
+        with pytest.raises(ValueError, match=f"top must be nonnegative, got {top}"):
+            k_table_even(nu, top)
+    assert invariants._even_product == [1]
 
 
 def test_general_route_values():

@@ -11,11 +11,13 @@ exactly.
 import hashlib
 import json
 import math
+import random
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
-from heatsphere import exactnum
+from heatsphere import exactnum, invariants
 from heatsphere.exactnum import bernoulli, bernoulli_series
 from heatsphere.invariants import heat_invariant, heat_invariant_row
 
@@ -80,3 +82,34 @@ def test_even_rows_and_a_taller_cell_share_the_cached_bernoulli_series(monkeypat
         check_series(top)
         check_rows()
     check_tall_cell()
+
+
+def test_deep_even_cells_read_the_kept_k_table_in_any_order(monkeypatch):
+    # the deep pool's even strata (d >= 80 and n >= d/2 + 20, which no general cell meets
+    # with an even d); each pass starts from an empty kept even
+    # product: descending, the first cell grows it and every later one is built apart below
+    # it; ascending, every cell grows it; between the table's even rows, the rows ask cut
+    # tables and whole ones that grow it or fall below it
+    even = sorted((d, n) for n, d in cells("deep") if d % 2 == 0 and d >= 80 and n >= d // 2 + 20)
+    assert len(even) == 30
+    rows = list(range(2, 73, 2))
+
+    def check(d, n):
+        assert digest(heat_invariant(n, d).value) == REFERENCE["deep"][f"{n},{d}"], (n, d)
+
+    def check_row(d):
+        for result in heat_invariant_row(range(33), d):
+            assert digest(result.value) == REFERENCE["table"][f"{result.n},{d}"], (result.n, d)
+
+    monkeypatch.setattr(invariants, "_even_product", [1])
+    for cell in reversed(even):
+        check(*cell)
+    monkeypatch.setattr(invariants, "_even_product", [1])
+    for cell in even:
+        check(*cell)
+    monkeypatch.setattr(invariants, "_even_product", [1])
+    shuffled = random.Random(30).sample(even, len(even))
+    for d, cell in zip_longest(rows, shuffled):
+        check_row(d)
+        if cell:
+            check(*cell)
