@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .invariants import HeatInvariantResult, heat_invariant, heat_invariant_row
 from .spectrum import multiplicity
@@ -45,16 +45,13 @@ def _max_k() -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class RemainderEstimate:
-    d: int
-    n_terms: int
-    t_values: tuple[float, float]
-    observed_order: float
-    expected_order: float | None
-    relative_deviation: float | None
-    status: str  # "ok", "inconclusive" or "beyond-all-orders"
-    terms: tuple[int, ...]  # terms k >= 1 summed at each probe time reached, in t_values order
+# status is "ok", "inconclusive" or "beyond-all-orders"; expected_order and
+# relative_deviation may be None; terms holds the terms k >= 1 summed at each
+# probe time reached, in t_values order
+RemainderEstimate = namedtuple(
+    "RemainderEstimate",
+    "d n_terms t_values observed_order expected_order relative_deviation status terms",
+)
 
 
 def _tail_within(d: int, t: float, k: int, bound: float) -> bool:

@@ -16,7 +16,6 @@ stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -146,7 +145,10 @@ def cmd_compute(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         return 0, map(_json_line, results)  # formatted as written: no second copy of a big box
     if args.format == "markdown":
         return 0, _markdown_lines(args, results)
-    # csv writes None as an empty field and a float as its repr
+    # csv writes None as an empty field and a float as its repr; imported here, off
+    # the startup path of every other command
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
@@ -218,7 +220,7 @@ def _verify_all(fmt: str) -> tuple[int, list[str]]:
         estimate = asymptotics.remainder_order(d, n_terms)
         passed = estimate.status == "ok" and not _deviates(estimate, asymptotics.MAX_DEVIATION)
         lines.append(
-            json.dumps(vars(estimate)) + "\n"
+            json.dumps(estimate._asdict()) + "\n"
             if fmt == "json"
             else f"{'PASS' if passed else 'FAIL'} asympt d={d} n_terms={n_terms}: "
             f"status={estimate.status} observed={estimate.observed_order:.4f} "
@@ -242,7 +244,7 @@ def cmd_asympt(args: argparse.Namespace) -> tuple[int, list[str]]:
     if not 0 <= args.max_dev < math.inf:
         raise ValueError(f"--max-dev must be finite and >= 0, got {args.max_dev}")
     estimate = asymptotics.remainder_order(args.d, args.n_terms, args.t0)
-    return (1 if _deviates(estimate, args.max_dev) else 0), [json.dumps(vars(estimate)) + "\n"]
+    return (1 if _deviates(estimate, args.max_dev) else 0), [json.dumps(estimate._asdict()) + "\n"]
 
 
 def _check_machine_sized(args: argparse.Namespace) -> None:

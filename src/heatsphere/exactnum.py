@@ -6,6 +6,8 @@ rationals.  Values carrying a half-integer power of pi are wrapped in
 irrational quantity is ever rounded before the caller asks for a float.
 :class:`Polynomial` is the one exact polynomial type: its ring operations
 never truncate, so a caller that needs a cut power series cuts it itself.
+Both are immutable named tuples that compare and hash by their fields, but
+refuse `<` and its kin: a tuple order would rank values across powers of pi.
 
 It holds only what `math` and `fractions` lack: factorials, binomials and
 rising factorials are `math.factorial`, `math.comb`, `math.perm`, `math.prod`.
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -28,23 +30,32 @@ Rational = Fraction
 SQRT_PI = Fraction("1.77245385090551602729816748334114518279754945612238712821381")
 
 
-@dataclass(frozen=True)
-class ExactValue:
-    """A rational multiple of pi^(pi_half/2).
+def _unordered(self, other):
+    return NotImplemented  # from both sides, so `<` raises TypeError
 
-    The zero value is normalized to ``pi_half == 0`` so that equality and
-    hashing behave; addition is only defined between values with matching
-    exponent (or with zero), multiplication adds exponents.
+
+class ExactValue(namedtuple("ExactValue", "coeff pi_half")):
+    """A rational multiple of pi^(pi_half/2): the immutable named tuple (coeff, pi_half).
+
+    The coefficient is made a Fraction, and the zero value is normalized to
+    ``pi_half == 0`` so that equality and hashing behave; addition is only
+    defined between values with matching exponent (or with zero),
+    multiplication adds exponents.
     """
 
-    coeff: Rational
-    pi_half: int = 0
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __post_init__(self) -> None:
-        if type(self.coeff) is not Fraction:
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.pi_half != 0 and self.coeff == 0:
-            object.__setattr__(self, "pi_half", 0)
+    def __new__(cls, coeff: Rational, pi_half: int = 0) -> ExactValue:
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if pi_half != 0 and coeff == 0:
+            pi_half = 0
+        return tuple.__new__(cls, (coeff, pi_half))
+
+    @classmethod
+    def _make(cls, iterable) -> ExactValue:  # _replace builds through it: normalize there too
+        return cls(*iterable)
 
     def __bool__(self) -> bool:
         return self.coeff != 0
@@ -107,15 +118,16 @@ class ExactValue:
         return f"{self.coeff}*{tag}"
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with Fraction coefficients, index = degree, no trailing zeros.
+class Polynomial(namedtuple("Polynomial", "coefficients")):
+    """Polynomial with Fraction coefficients, index = degree, no trailing zeros:
+    the immutable named tuple (coefficients,), coefficients a tuple.
 
     An exact ring: `+`, `-`, `*` (by a polynomial or a scalar) and `**` with a
     nonnegative integer exponent, none of which drops a degree.
     """
 
-    coefficients: tuple[Rational, ...]
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @staticmethod
     def from_coefficients(coeffs) -> Polynomial:
@@ -218,8 +230,9 @@ def gamma_half(m: int) -> ExactValue:
 
 
 # _tangents[k] = T_(2k-1), from tan z = sum T_(2k-1) z^(2k-1)/(2k-1)!, with a
-# placeholder at k = 0; _series = [L, L F_1, ..., L F_k] for the k built so far, over
-# one common denominator L (bernoulli_series).  Both only grow, under one lock, so
+# placeholder at k = 0, by Brent & Harvey's integer algorithm (arXiv:1108.0286);
+# _series = [L, L F_1, ..., L F_k] for the k built so far, over one common
+# denominator L (bernoulli_series).  Both only grow, under one lock, so
 # concurrent callers never see a half-built table.
 _tangents: list[int] = [0, 1]
 _series: list[int] = [1]
@@ -235,16 +248,6 @@ def _grow_tangents(count: int) -> None:
             for j in range(k, size + 1):
                 table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
         _tangents[:] = table
-
-
-def tangent_numbers(count: int) -> list[int]:
-    """[0, T_1, T_3, ..., T_(2count-1)] by Brent & Harvey's integer algorithm
-    (arXiv:1108.0286); a longer request rebuilds the table at least twice as long."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    with _tangent_lock:
-        _grow_tangents(count)
-        return _tangents[: count + 1]
 
 
 def bernoulli_series(top: int) -> tuple[int, list[int]]:

@@ -18,7 +18,6 @@ bound is itself one of the claims under test.
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -173,12 +172,15 @@ def verify_identity(name: str, box: dict | None = None) -> VerificationReport:
 
     Box keys (all optional) are the keywords of the sweep: s1, s1g and s3
     take n=(lo, hi) and offset=(lo, hi) with omega = 2n + offset, s1g also
-    x=<iterable of rationals>; vychet takes j_max=<int>.
+    x=<iterable of rationals>; vychet takes j_max=<int>.  A key that is not
+    one of the sweep's parameter names, read off its code object, is a
+    ValueError before any point is evaluated.
     """
     if name not in _SWEEPS:
         raise ValueError(f"unknown identity {name!r}; expected s1, s1g, s3 or vychet")
     sweep, box = _SWEEPS[name], box or {}
-    unknown = sorted(set(box) - set(inspect.signature(sweep).parameters))
+    code = sweep.__code__
+    unknown = sorted(set(box) - set(code.co_varnames[: code.co_argcount]))
     if unknown:
         raise ValueError(f"unsupported box keys for {name!r}: {unknown}")
     return sweep(**box)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
@@ -38,13 +38,9 @@ CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
 FORMULAS = ("auto", "general", "odd", "even", "closed")
 
 
-@dataclass(frozen=True)
-class HeatInvariantResult:
-    n: int
-    d: int
-    omega_used: int | None
-    route: str
-    value: ExactValue
+# one cell: n, d, the omega of the route (int, or None for a closed form), the route's
+# name, and the coefficient as an ExactValue
+HeatInvariantResult = namedtuple("HeatInvariantResult", "n d omega_used route value")
 
 
 def _expand_even_product(roots: Iterable[int], top: int, start: Sequence[int] = (1,)) -> list[int]:

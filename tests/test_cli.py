@@ -537,6 +537,11 @@ def test_asympt_ok(capsys):
     # terms summed at t0 and at t0/2: the smaller time needs more
     first, second = record["terms"]
     assert 0 < first < second
+    # the keys come in the estimate's field order
+    assert list(record) == [
+        "d", "n_terms", "t_values", "observed_order", "expected_order", "relative_deviation",
+        "status", "terms",
+    ]
 
 
 def test_asympt_circle(capsys):
