@@ -250,6 +250,29 @@ def test_compute_with_omega_forces_general_route(capsys):
     assert record["route"] == "general" and record["omega_used"] == 5
 
 
+def test_compute_takes_the_general_route_where_it_is_cheaper(capsys):
+    # a = 499 roots against n = 11: "auto" runs the general route at omega = 2n, and a
+    # named parity route still runs the odd kernel, to the same value
+    _, out, _ = run_cli(capsys, "compute", "--n", "11", "--d", "999")
+    record = json.loads(out)
+    assert record["route"] == "general" and record["omega_used"] == 22
+    _, out, _ = run_cli(capsys, "compute", "--n", "11", "--d", "999", "--formula", "odd")
+    forced = json.loads(out)
+    assert forced["route"] == "odd" and forced["omega_used"] is None
+    assert forced["value"] == record["value"]
+
+
+def test_compute_table_keeps_the_parity_routes(capsys):
+    # the benchmark's table box: every row asks n up to 32, so no d <= 72 is large enough
+    code, out, _ = run_cli(capsys, "compute", "--n", "0..32", "--d", "1..72")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 33 * 72
+    for r in records:
+        expected = "weyl" if r["n"] == 0 else ("odd" if r["d"] % 2 else "even")
+        assert (r["route"], r["omega_used"]) == (expected, None), (r["n"], r["d"])
+
+
 def test_compute_omega_below_bound_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "compute", "--n", "2", "--d", "3", "--omega", "1")
     assert code == 2 and out == ""

@@ -39,6 +39,28 @@ def sqrtpi(num, den=1):
     return ExactValue(Fraction(num, den), 1)
 
 
+def parity(d):
+    return "odd" if d % 2 else "even"
+
+
+def auto_route(ns, d):
+    # the rule heat_invariant_row states for "auto", restated: the general route at omega = 2n
+    # when its estimated steps are fewer than those of the parity route's cut K-table
+    distinct, a = set(ns) - {0}, d // 2
+    if distinct and sum(3 * n * n + a + 8 for n in distinct) < a * (min(max(distinct), a - 1) + 1):
+        return "general"
+    return parity(d)
+
+
+def assert_auto_records(results, ns, d):
+    # each record of one "auto" request carries the route the rule picks for that request
+    route = auto_route(ns, d)
+    assert len(results) == len(ns)
+    for n, res in zip(ns, results):
+        expected = ("weyl", None) if n == 0 else (route, 2 * n if route == "general" else None)
+        assert (res.n, res.d, res.route, res.omega_used) == (n, d, *expected), (n, d)
+
+
 def test_k_table_odd():
     # ascending coefficients of prod (u - b^2); K_s = c[s], no constant term
     assert k_table_odd(1) == [0, 1]
@@ -341,7 +363,8 @@ def test_cross_formula_equality_small_box():
     ],
 )
 def test_parity_route_matches_general_route_on_mid_cells(n, d):
-    assert heat_invariant(n, d).value == heat_invariant_general(n, d, 2 * n)
+    # named: "auto" takes (9, 101) to the general route itself
+    assert heat_invariant(n, d, formula=parity(d)).value == heat_invariant_general(n, d, 2 * n)
 
 
 def test_omega_stability_small_box():
@@ -398,9 +421,10 @@ def test_closed_d2_bernoulli_sum_spot_values():
     ],
 )
 def test_parity_equals_general_where_the_kernels_cut_work(n, d):
+    # named: "auto" takes the four cut cells to the general route
     general = heat_invariant_general(n, d, 2 * n)
-    assert heat_invariant(n, d).value == general
-    assert heat_invariant_row([n], d)[0].value == general
+    assert heat_invariant(n, d, formula=parity(d)).value == general
+    assert heat_invariant_row([n], d, formula=parity(d))[0].value == general
 
 
 def test_general_sum_big_cell_is_exact():
@@ -458,13 +482,25 @@ DEEP_ODD = (
 def test_general_route_checks_every_deep_parity_cell(n, d):
     for i in range(3):
         cell = n + i, d + 2 * i
-        assert heat_invariant_general(*cell, 2 * cell[0]) == heat_invariant(*cell).value
+        parity_value = heat_invariant(*cell, formula=parity(cell[1])).value
+        assert heat_invariant_general(*cell, 2 * cell[0]) == parity_value
 
 
 def test_row_matches_cells_exactly():
-    # d = 1 and d = 2 are edge rows; n < nu, n = nu and n > nu all occur
+    # d = 1 and d = 2 are edge rows; n < nu, n = nu and n > nu all occur.  A row and each of
+    # its cells are separate requests: a cell may take the general route where its row takes
+    # the parity route, so the values agree and each record names its own request's route
+    ns = range(41)
+    switched = 0
     for d in range(1, 61):
-        assert heat_invariant_row(range(41), d) == [heat_invariant(n, d) for n in range(41)]
+        row = heat_invariant_row(ns, d)
+        cells = [heat_invariant(n, d) for n in ns]
+        assert [r.value for r in row] == [c.value for c in cells], d
+        assert_auto_records(row, ns, d)
+        for n, cell in zip(ns, cells):
+            assert_auto_records([cell], [n], d)
+        switched += sum(r.route != c.route for r, c in zip(row, cells))
+    assert switched > 0
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -474,8 +510,14 @@ def test_tall_row_matches_cells(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 40, 61])
 def test_sparse_row_matches_cells(d):
+    # at d = 61 the cell n = 7 takes the general route, and the row the odd route
     ns = [31, 0, 7, 7]
-    assert heat_invariant_row(ns, d) == [heat_invariant(n, d) for n in ns]
+    row = heat_invariant_row(ns, d)
+    cells = [heat_invariant(n, d) for n in ns]
+    assert [r.value for r in row] == [c.value for c in cells]
+    assert_auto_records(row, ns, d)
+    for n, cell in zip(ns, cells):
+        assert_auto_records([cell], [n], d)
 
 
 def test_row_validation():
@@ -582,6 +624,33 @@ def test_even_kernel_equals_the_reference_on_a_wide_row():
 def test_even_kernel_equals_the_reference_around_nu(nu):
     for n in {max(1, nu - 2), max(1, nu - 1), nu, nu + 1, nu + 5}:
         assert heat_invariant_even(n, nu) == reference_even(n, nu)
+
+
+def test_crosscheck_at_large_d_runs_the_odd_kernel(monkeypatch):
+    # "auto" would take every cell of this box at odd d to the general route; the crosscheck
+    # names the parity route, so a wrong odd kernel must make it fail
+    assert verify_crosscheck(n=(1, 4), d=(301, 304)).passed
+
+    def wrong(alpha, ns):
+        return [ExactValue(Fraction(1), 1) for _ in ns]
+
+    monkeypatch.setattr(invariants, "_odd_values", wrong)
+    report = verify_crosscheck(n=(1, 4), d=(301, 304))
+    assert not report.passed
+    assert {failure.parameters["d"] for failure in report.failures} == {301, 303}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_auto_equals_both_named_routes_on_small_cells(n):
+    # d up to 200 puts the cell on either side of the rule's switch (d = 24 at n = 1)
+    routes = set()
+    for d in range(1, 201):
+        auto = heat_invariant(n, d)
+        routes.add(auto.route)
+        assert auto.route == auto_route([n], d)
+        assert auto.value == heat_invariant(n, d, formula=parity(d)).value, d
+        assert auto.value == heat_invariant(n, d, formula="general").value, d
+    assert routes == {"odd", "even", "general"}
 
 
 def test_crosscheck_raises_the_general_routes_error_first():

@@ -3,9 +3,11 @@
 `bench/reference.json` holds sha256("num/den/pi_half")[:16] for the table
 cells a_{0..32, 1..72} and for the deep pool; it was recorded once and is
 only read here.  Table cells are computed by rows, as `compute` does.  Deep
-keys go through `heat_invariant(n, d)`, so the pool's general-route cells
-are checked on their parity route, which agrees with the general route
-exactly.
+keys go through `heat_invariant(n, d)` with no omega.  There "auto" keeps
+the pool's even cells and its general-route cells on their parity route,
+which agrees with the general route exactly, and takes the odd cells at
+d >= 301 to the general route at omega = 2n; so each odd cell is checked
+with `formula="odd"` as well.
 """
 
 import hashlib
@@ -45,7 +47,14 @@ def test_table_cells_by_rows():
 
 @pytest.mark.parametrize("n, d", cells("deep"))
 def test_deep_pool_cell(n, d):
-    assert digest(heat_invariant(n, d).value) == REFERENCE["deep"][f"{n},{d}"]
+    result = heat_invariant(n, d)
+    assert digest(result.value) == REFERENCE["deep"][f"{n},{d}"]
+    if d % 2 and d >= 301:
+        # the odd cells: "auto" runs the general route; the odd route must give the digest too
+        assert (result.route, result.omega_used) == ("general", 2 * n)
+        assert digest(heat_invariant(n, d, formula="odd").value) == REFERENCE["deep"][f"{n},{d}"]
+    else:
+        assert (result.route, result.omega_used) == ("odd" if d % 2 else "even", None)
 
 
 def exact_f(top):
