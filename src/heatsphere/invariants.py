@@ -30,8 +30,6 @@ from .exactnum import (
     alternating_binomial_sum,
     bernoulli,
     bernoulli_series,
-    gamma_half,
-    omega_sum,
 )
 from .spectrum import eigenvalue, multiplicity, weyl_leading_term  # noqa: F401 (bench traces it)
 from .verification import VerificationReport
@@ -109,33 +107,40 @@ def k_table_even(nu: int, top: int | None = None) -> list[int]:
 def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
     # Core of the general route: heat_invariant_general adds omega >= 2n, which the sharpness
     # probe skips on purpose.  inner_j does not depend on omega: one pass serves every omega.
+    # The paper's 2 (-1)^n Gamma(omega+d/2+1) sum_j inner_j/((omega-j)! (j+n)! (2j+d)!) has no
+    # factorial of size d left once (2j+d-1)!/(2j+d)! = 1/(2j+d) and, by Legendre's duplication,
+    # Gamma(omega+d/2+1)/(d-1)! = weyl(d) prod_{i<=omega} (d+2i)/2^(omega+1): a_{n,d} is weyl(d)
+    # (-1)^n T/(2^omega omega! (omega+n)!), T = sum_j h_j omega!/(omega-j)! (omega+n)!/(j+n)!
+    # prod_{i!=j} (d+2i) for the signed h_j that _general_inners yields, by ascending Horner.
     if n < 1:
         raise ValueError(f"general route needs n >= 1, got {n}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     omegas = list(omegas)
     inners = list(_general_inners(n, d, max(omegas)))
+    weyl = weyl_leading_term(d)
     values = []
     for omega in omegas:
-        front = gamma_half(2 * omega + d + 2)  # Gamma(omega + d/2 + 1)
-        total = omega_sum(omega, n, d, inners)
-        values.append(ExactValue(2 * (-1) ** n * front.coeff * total, front.pi_half))
+        total, weight = 0, 1
+        for j in range(omega + 1):
+            total = total * ((j + n) * (2 * j + d)) + inners[j] * weight
+            weight *= (omega - j) * (2 * j + d)
+        scale = 2**omega * math.factorial(omega) * math.factorial(omega + n)
+        values.append(weyl * Fraction(-total if n % 2 else total, scale))
     return values
 
 
 def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
-    # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n), over (2j+d)!; by
-    # mu_k (d-1)! prod_{i<=j, i!=k} (lambda_k - lambda_i) = (-1)^(j-k) (j-k)! (j+k+d-1)! it is
-    # (-1)^j (2j+d-1)!/(d-1)! h_n(lambda_0..lambda_j): a divided difference of x^(j+n)
+    # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n); by mu_k (d-1)!
+    # prod_{i<=j, i!=k} (lambda_k - lambda_i) = (-1)^(j-k) (j-k)! (j+k+d-1)! it is (2j+d-1)!/(d-1)!
+    # times h_j = (-1)^j h_n(lambda_0..lambda_j), a divided difference of x^(j+n); this yields h_j
     h = [1] + [0] * n  # h[m] = h_m of the nodes so far; lambda_0 = 0 adds nothing
-    rising = 1  # (2j+d-1)!/(d-1)!
     yield 0  # j = 0: no k
     for j in range(1, omega + 1):
         lam = eigenvalue(j, d)
         for m in range(1, n + 1):
             h[m] += lam * h[m - 1]  # ascending: h[m - 1] already counts lam
-        rising *= (2 * j + d - 2) * (2 * j + d - 1)
-        yield -rising * h[n] if j % 2 else rising * h[n]
+        yield -h[n] if j % 2 else h[n]
 
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
@@ -283,7 +288,7 @@ def _integer(name: str, value: object) -> int:
 
 def _general_is_cheaper(ns: list[int], d: int) -> bool:
     # heat_invariant_row's rule over the ascending distinct ns >= 1: 2n^2 h-steps at 3/2 and
-    # a + 8 per cell (factorials of size d) against a K-table of a roots cut to top + 1
+    # a + 8 per cell (fitted to d-sized factorials) against a K-table of a roots cut to top + 1
     a = d // 2
     return bool(ns) and sum(3 * n * n + a + 8 for n in ns) < a * (min(ns[-1], a - 1) + 1)
 
@@ -313,12 +318,12 @@ def heat_invariant_row(
     the general route at omega = 2n if sum over the distinct n >= 1 of
     (3n^2 + a + 8) < a (min(max n, a-1) + 1), a = d // 2, else the parity
     route of d; the records say which ran, so a row and its cells may differ
-    in route, never in value.  Timed on 420 cells and 112 rows 0..N (n, N <=
-    80, d <= 1201, CPython 3.11), it picks the slower route 14 times, 0.3%
-    dearer on average.  One n measured faster on the general route from
-    d = 16, 64, 122, 244, 540 at n = 1, 11, 20, 40, 80, and the rule switches
-    at d = 24, 68, 122, 242, 482; a row 0..4 from d = 100, switching at 246;
-    rows 0..8 measured even at d = 1201 and switch at 1354.
+    in route, never in value.  Fitted on 420 cells and 112 rows 0..N (n, N <=
+    80, d <= 1201, CPython 3.11) while the general route still formed
+    factorials of size d.  Without them, one n measured faster on the general
+    route from d = 13, 56, 109, 202, 441 at n = 1, 11, 20, 40, 80, and the rule
+    switches at d = 24, 68, 122, 242, 482; a row 0..4 from d = 110, switching at
+    246; rows 0..8 at d = 1201 took 0.5 ms general, 2.3 ms odd, and switch at 1354.
 
     The route is chosen once, and its kernel runs once over the distinct
     n >= 1, ascending: both parity routes are a Cauchy product of

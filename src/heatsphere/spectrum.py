@@ -42,6 +42,10 @@ def sphere_volume(d: int) -> ExactValue:
 
 
 def weyl_leading_term(d: int) -> ExactValue:
-    """Leading coefficient vol(S^d)/(4 pi)^(d/2) of the heat-trace expansion."""
-    # (4 pi)^(d/2) = 2^d * pi^(d/2) regardless of the parity of d
-    return sphere_volume(d) / ExactValue(Fraction(2) ** d, d)
+    """Leading coefficient vol(S^d)/(4 pi)^(d/2) of the heat-trace expansion, which is
+    Gamma(d/2)/(d-1)! by Legendre's duplication: sqrt(pi)/(4^a a!) at d = 2a+1."""
+    _check_dimension(d)
+    a = d // 2
+    if d % 2:
+        return ExactValue(Fraction(1, 4**a * math.factorial(a)), 1)
+    return ExactValue(Fraction(2, math.perm(d, a)), 0)

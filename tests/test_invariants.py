@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsphere.exactnum import ExactValue, bernoulli
+from heatsphere.exactnum import ExactValue, bernoulli, gamma_half, omega_sum
 from heatsphere import invariants
 from heatsphere.invariants import (
     HeatInvariantResult,
@@ -449,8 +449,30 @@ def paper_inners(n, d, omega):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_general_inners_are_the_papers_double_sum(n):
+    # the route yields the paper's inner_j without its factor (2j+d-1)!/(d-1)!
     for d in range(1, 26):
-        assert list(_general_inners(n, d, 3 * n + 4)) == paper_inners(n, d, 3 * n + 4)
+        yielded = _general_inners(n, d, 3 * n + 4)
+        scaled = [h * perm(2 * j + d - 1, 2 * j) for j, h in enumerate(yielded)]
+        assert scaled == paper_inners(n, d, 3 * n + 4)
+
+
+def gamma_form(n, d, omega):
+    # the general route as the paper writes it, before the duplication formula:
+    # 2 (-1)^n Gamma(omega + d/2 + 1) sum_j inner_j / ((omega-j)! (j+n)! (2j+d)!)
+    total = omega_sum(omega, n, d, paper_inners(n, d, omega))
+    return 2 * (-1) ** n * gamma_half(2 * omega + d + 2) * total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_general_sums_equal_the_gamma_form(n):
+    omegas = range(2 * n - 1, 3 * n + 5)
+    for d in range(1, 61):
+        assert _general_sums(n, d, omegas) == [gamma_form(n, d, omega) for omega in omegas]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1201), (3, 20001), (11, 999)])
+def test_general_sums_equal_the_gamma_form_at_large_d(n, d):
+    assert _general_sums(n, d, [2 * n]) == [gamma_form(n, d, 2 * n)]
 
 
 def test_inner_sum_weights_are_the_divided_difference_weights():

@@ -72,3 +72,12 @@ def test_weyl_leading_terms():
 def test_weyl_pi_half_parity():
     for d in range(1, 13):
         assert weyl_leading_term(d).pi_half == d % 2
+
+
+def test_weyl_closed_form_is_the_volume_ratio():
+    # the closed form Gamma(d/2)/(d-1)! against vol(S^d)/(4 pi)^(d/2) as the definition reads
+    for d in [*range(1, 601), 40000, 40001]:
+        assert weyl_leading_term(d) == sphere_volume(d) / ExactValue(Fraction(2) ** d, d)
+    for d in (0, -1, -7):
+        with pytest.raises(ValueError, match=f"sphere dimension must be positive, got {d}"):
+            weyl_leading_term(d)
