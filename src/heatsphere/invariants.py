@@ -105,6 +105,11 @@ def k_table_even(nu: int, top: int | None = None) -> list[int]:
 
 
 def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
+    # the general route's values at each omega: weyl(d) times each pair of _general_pairs
+    return [weyl_leading_term(d) * Fraction(*pair) for pair in _general_pairs(n, d, omegas)]
+
+
+def _general_pairs(n: int, d: int, omegas: Iterable[int]) -> list[tuple[int, int]]:
     # Core of the general route: heat_invariant_general adds omega >= 2n, which the sharpness
     # probe skips on purpose.  inner_j does not depend on omega: one pass serves every omega.
     # The paper's 2 (-1)^n Gamma(omega+d/2+1) sum_j inner_j/((omega-j)! (j+n)! (2j+d)!) has no
@@ -112,13 +117,13 @@ def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
     # Gamma(omega+d/2+1)/(d-1)! = weyl(d) prod_{i<=omega} (d+2i)/2^(omega+1): a_{n,d} is weyl(d)
     # (-1)^n T/(2^omega omega! (omega+n)!), T = sum_j h_j omega!/(omega-j)! (omega+n)!/(j+n)!
     # prod_{i!=j} (d+2i) for the signed h_j that _general_inners yields, by ascending Horner.
+    # Each omega gives the pair ((-1)^n T, 2^omega omega! (omega+n)!).
     if n < 1:
         raise ValueError(f"general route needs n >= 1, got {n}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     omegas = list(omegas)
     inners = list(_general_inners(n, d, max(omegas)))
-    weyl = weyl_leading_term(d)
     values = []
     for omega in omegas:
         total, weight = 0, 1
@@ -126,7 +131,7 @@ def _general_sums(n: int, d: int, omegas: Iterable[int]) -> list[ExactValue]:
             total = total * ((j + n) * (2 * j + d)) + inners[j] * weight
             weight *= (omega - j) * (2 * j + d)
         scale = 2**omega * math.factorial(omega) * math.factorial(omega + n)
-        values.append(weyl * Fraction(-total if n % 2 else total, scale))
+        values.append((-total if n % 2 else total, scale))
     return values
 
 
@@ -400,9 +405,14 @@ def verify_omega_stability(
     )
     for d in range(d_lo, d_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            base, *values = _general_sums(n, d, range(2 * n, 3 * n + 5))
-            for omega, value in enumerate(values, 2 * n + 1):
-                report.record({"n": n, "d": d, "omega": omega}, value, base)
+            base, *pairs = _general_pairs(n, d, range(2 * n, 3 * n + 5))
+            for omega, pair in enumerate(pairs, 2 * n + 1):
+                # both values are weyl(d) != 0 times their pair: equal iff the pairs cross-multiply
+                if pair[0] * base[1] == base[0] * pair[1]:
+                    report.points_checked += 1
+                else:
+                    values = (weyl_leading_term(d) * Fraction(*p) for p in (pair, base))
+                    report.record({"n": n, "d": d, "omega": omega}, *values)
     return report
 
 
@@ -414,9 +424,11 @@ def verify_sharpness(
         "sharpness", [("(n,d)", ",".join(f"({n},{d})" for n, d in points))]
     )
     for n, d in points:
-        below, at_bound = _general_sums(n, d, [2 * n - 1, 2 * n])
-        report.record({"n": n, "d": d}, below != at_bound, True)
-        if below != at_bound:
+        below, at_bound = _general_pairs(n, d, [2 * n - 1, 2 * n])
+        differ = below[0] * at_bound[1] != at_bound[0] * below[1]  # as in verify_omega_stability
+        report.record({"n": n, "d": d}, differ, True)
+        if differ:
+            below, at_bound = (weyl_leading_term(d) * Fraction(*p) for p in (below, at_bound))
             report.notes.append(
                 f"(n={n}, d={d}): omega={2 * n - 1} gives {below}, omega={2 * n} gives {at_bound}"
             )

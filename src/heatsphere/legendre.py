@@ -1,16 +1,17 @@
 """Exact Legendre/Gegenbauer polynomial algebra on [-1, 1].
 
-The weight is (1 - t^2)^((d-2)/2) and polynomials in t are
-`exactnum.Polynomial`s normalized to value 1 at t = 1.  Expansion
-coefficients of (1 - t)^j in this basis are computed twice: by brute-force
-integration (the ground truth) and by the closed product formula;
-`verify_expansion` checks the two against each other and against
-reconstruction of (1 - t)^j itself.
+The weight is (1 - t^2)^((d-2)/2); one integer moment table per d drives every
+inner product, and the basis, Gram-Schmidt against it, is handed out as
+`exactnum.Polynomial`s of value 1 at t = 1.  Expansion coefficients of
+(1 - t)^j in this basis are computed twice: by brute-force integration (the
+ground truth) and by the closed product formula; `verify_expansion` checks the
+two against each other and against reconstruction of (1 - t)^j itself.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,8 +20,12 @@ from .spectrum import multiplicity, weyl_leading_term
 from .verification import VerificationReport
 
 ZERO_POLY = Polynomial(())
-ONE_POLY = Polynomial((Fraction(1),))
 ONE_MINUS_T = Polynomial((Fraction(1), Fraction(-1)))
+
+# d -> (table, bases): the moments of one d share a power of pi, so table[m] / table[0] =
+# weighted_moment(m, d) / weighted_moment(0, d) for m < len(table) = 2 len(bases) - 1; bases[k]
+# is gegenbauer_poly(k, d) times the positive integer that makes its coefficients coprime
+_tables: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -37,6 +42,36 @@ def weighted_moment(m: int, d: int) -> ExactValue:
     if m % 2 == 1:
         return ExactValue(Fraction(0))
     return gamma_half(m + 1) * gamma_half(d) / gamma_half(m + 1 + d)
+
+
+def _moment_table(d: int, size: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    # d's entry of _tables, grown (at least twofold) to `size` bases
+    table, bases = _tables.get(d, ([], []))
+    if len(bases) < size:
+        size = max(size, 2 * len(bases))
+        moment_0 = weighted_moment(0, d)  # as_rational checks that pi cancels from every ratio
+        ratios = [(weighted_moment(m, d) / moment_0).as_rational() for m in range(2 * size - 1)]
+        denominator = math.lcm(*(r.denominator for r in ratios))
+        table = [r.numerator * (denominator // r.denominator) for r in ratios]
+        bases = bases[:]
+        for k in range(len(bases), size):
+            # Gram-Schmidt: t^k less its projections on the lower q, scaled to stay whole; with
+            # q orthogonal below its degree i, <p, q> = p_k <t^k, q> and <q, q> = q_i <t^i, q>
+            p = [0] * k + [1]
+            for i, q in enumerate(bases):
+                along = p[k] * sum(map(operator.mul, q, table[k:]))
+                if along:
+                    norm = q[i] * sum(map(operator.mul, q, table[i:]))
+                    p = [norm * c - along * b for c, b in zip(p, q + (0,) * (k - i))]
+            g = math.gcd(*p) if sum(p) > 0 else -math.gcd(*p)
+            bases.append(tuple(c // g for c in p))
+        _tables[d] = table, bases
+    return table, bases
+
+
+def _moments_of(q: tuple[int, ...], table: list[int], size: int) -> list[int]:
+    # [<t^a, q> for a < size], in units of weighted_moment(0, d) / table[0]
+    return [sum(map(operator.mul, q, table[a:])) for a in range(size)]
 
 
 def weighted_integral(p: Polynomial, d: int) -> ExactValue:
@@ -56,15 +91,8 @@ def gegenbauer_poly(k: int, d: int) -> Polynomial:
     """
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
-    if d < 2:
-        raise ValueError(f"weight needs d >= 2, got {d}")
-    if k == 0:
-        return ONE_POLY
-    monomial = Polynomial(tuple([Fraction(0)] * k + [Fraction(1)]))
-    p = monomial
-    for i in range(k):
-        p = p - gegenbauer_poly(i, d) * _projection(monomial, i, d)
-    return p * (Fraction(1) / p.evaluate(1))
+    basis = _moment_table(d, k + 1)[1][k]
+    return Polynomial.from_coefficients(basis) * Fraction(1, sum(basis))
 
 
 def expansion_coeff(j: int, k: int, d: int) -> Rational:
@@ -80,12 +108,11 @@ def expansion_coeff(j: int, k: int, d: int) -> Rational:
         raise ValueError(f"weight needs d >= 2, got {d}")
     if k > j:
         return Fraction(0)
-    return _projection(ONE_MINUS_T**j, k, d)
-
-
-def _projection(p: Polynomial, k: int, d: int) -> Rational:
-    # <p, L_k> / <L_k, L_k>: both integrals carry the same pi_half per d, so it is rational
-    return (weighted_integral(p * gegenbauer_poly(k, d), d) / norm_squared(k, d)).as_rational()
+    table, bases = _moment_table(d, j + 1)
+    moments = _moments_of(bases[k], table, j + 1)
+    along = sum(map(operator.mul, (ONE_MINUS_T**j).coefficients, moments))
+    # L_k = bases[k] / bases[k](1); the table's units cancel
+    return Fraction(sum(bases[k]) * along, sum(map(operator.mul, bases[k], moments)))
 
 
 def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
@@ -110,8 +137,10 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
 @lru_cache(maxsize=None)
 def norm_squared(k: int, d: int) -> ExactValue:
     """Weighted L^2 norm of the degree-k basis polynomial, exactly."""
-    q = gegenbauer_poly(k, d)
-    return weighted_integral(q * q, d)
+    gegenbauer_poly(k, d)  # checks k and d
+    table, bases = _moment_table(d, k + 1)
+    norm = sum(map(operator.mul, bases[k], _moments_of(bases[k], table, k + 1)))
+    return weighted_moment(0, d) * Fraction(norm, table[0] * sum(bases[k]) ** 2)
 
 
 def verify_expansion(j_max: int = 4, d: tuple[int, int] = (2, 5)) -> VerificationReport:
@@ -124,17 +153,23 @@ def verify_expansion(j_max: int = 4, d: tuple[int, int] = (2, 5)) -> Verificatio
     report = VerificationReport("legendre", [("j", f"0..{j_max}"), ("d", f"{d_lo}..{d_hi}")])
     targets = [ONE_MINUS_T**j for j in range(j_max + 1)]
     for d in range(d_lo, d_hi + 1):
+        table, bases = _moment_table(d, j_max + 1)
+        moments = [_moments_of(basis, table, j_max + 1) for basis in bases[: j_max + 1]]
+        norms = [sum(map(operator.mul, b, w)) for b, w in zip(bases, moments)]
         for j, target in enumerate(targets):
-            coeffs = [_projection(target, k, d) for k in range(j + 1)]
-            rebuilt = ZERO_POLY
-            for k, c in enumerate(coeffs):
-                rebuilt = rebuilt + gegenbauer_poly(k, d) * c
+            p = [c.numerator for c in target.coefficients]
+            alongs = [sum(map(operator.mul, p, w)) for w in moments[: j + 1]]
+            # c_jk L_k = bases[k] alongs[k] / norms[k]: their sum is one integer over the norms' lcm
+            scale = math.lcm(*norms[: j + 1])
+            weights = [along * (scale // norm) for along, norm in zip(alongs, norms)]
+            whole = [sum(w * b[i] for w, b in zip(weights[i:], bases[i:])) for i in range(j + 1)]
+            rebuilt = Polynomial.from_coefficients(Fraction(c, scale) for c in whole)
             report.record({"j": j, "d": d, "check": "reconstruction"}, rebuilt, target)
-            for k, c in enumerate(coeffs):
+            for k, (basis, along, norm) in enumerate(zip(bases, alongs, norms)):
                 report.record(
                     {"j": j, "k": k, "d": d, "check": "closed-form"},
                     expansion_coeff_closed(j, k, d),
-                    c,
+                    Fraction(sum(basis) * along, norm),
                 )
     report.notes.append(
         "closed form equals brute force with ratio 1: the 2^j factor in the "

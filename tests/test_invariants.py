@@ -383,6 +383,28 @@ def test_sharpness_below_bound():
     assert verify_sharpness(points).passed
 
 
+def test_omega_sweep_witnesses_are_the_exact_values(monkeypatch):
+    # the sweep compares the route's integer pairs; a point that fails still files the two
+    # ExactValues, with the text the sweep printed when it compared those values themselves
+    original = invariants._general_inners
+
+    def wrong_h3(n, d, omega):
+        for j, h in enumerate(original(n, d, omega)):
+            yield h + 1 if j == 3 else h
+
+    monkeypatch.setattr(invariants, "_general_inners", wrong_h3)
+    report = verify_omega_stability((1, 3), (1, 4))
+    assert report.points_checked == 72 and len(report.failures) == 72
+    texts = {tuple(w.parameters.values()): (str(w.computed), str(w.expected)) for w in report.failures}
+    assert texts[1, 1, 3] == ("-5/64*sqrt(pi)", "0")
+    assert texts[2, 1, 5] == ("99/512*sqrt(pi)", "9/128*sqrt(pi)")
+    assert texts[1, 2, 4] == ("-11/12", "1/3")
+    for w in report.failures:
+        n, d, omega = w.parameters["n"], w.parameters["d"], w.parameters["omega"]
+        assert [w.computed, w.expected] == _general_sums(n, d, [omega, 2 * n])
+    assert all(isinstance(side, ExactValue) for w in report.failures for side in w[1:])
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_one_inner_pass_serves_every_omega(n):
     # omega = 2n - 1 included, where the value differs from the rest

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -6,6 +7,7 @@ from heatsphere.exactnum import ExactValue, Polynomial
 from heatsphere.legendre import (
     ONE_MINUS_T,
     ZERO_POLY,
+    _moment_table,
     expansion_coeff,
     expansion_coeff_closed,
     gegenbauer_poly,
@@ -154,3 +156,36 @@ def test_verify_expansion_report():
     assert report.passed
     assert report.points_checked > 0
     assert any("ratio 1" in note for note in report.notes)
+
+
+def test_moment_table_holds_the_beta_integral_ratios():
+    # table[m] / table[0] = weighted_moment(m, d) / weighted_moment(0, d), whole numbers; the
+    # ratio is also prod_{i<r} (2i+1) / (2i+1+d) at m = 2r, and 0 at odd m
+    for d in range(2, 61):
+        table, bases = _moment_table(d, 17)
+        assert len(table) >= 33 and len(bases) >= 17
+        for m in range(33):
+            ratio = Fraction(table[m], table[0])
+            assert type(table[m]) is int
+            assert ratio == (weighted_moment(m, d) / weighted_moment(0, d)).as_rational()
+            product = prod(Fraction(2 * i + 1, 2 * i + 1 + d) for i in range(m // 2))
+            assert ratio == (0 if m % 2 else product)
+
+
+def test_moment_table_grows_and_keeps_its_bases():
+    d = 61
+    small_table, small_bases = _moment_table(d, 2)
+    table, bases = _moment_table(d, 9)
+    assert len(bases) >= 9 and len(table) == 2 * len(bases) - 1
+    assert bases[: len(small_bases)] == small_bases
+    assert [Fraction(t, table[0]) for t in table[: len(small_table)]] == [
+        Fraction(t, small_table[0]) for t in small_table
+    ]
+    assert _moment_table(d, 9) == (table, bases)  # one table per d, kept
+    for k, basis in enumerate(bases):
+        assert gegenbauer_poly(k, d) == Polynomial.from_coefficients(basis) * Fraction(1, sum(basis))
+
+
+def test_verify_expansion_wider_box():
+    report = verify_expansion(j_max=10, d=(2, 20))
+    assert report.passed and report.points_checked == 1463
