@@ -1,18 +1,17 @@
-"""Heat-trace coefficients a_{n,d} of the round sphere, three ways.
+"""Heat-trace coefficients a_{n,d} of the round sphere along the four routes of `ROUTES`.
 
-Route "general" is the omega-parametrized double sum over the spectrum,
-valid for every omega >= 2n (and only there: omega = 2n-1 provably gives a
-different number, see `verify_sharpness`); each inner sum is a divided
-difference, computed as h_n of the eigenvalues.  Routes "odd" and "even" are
-the dimension-parity reductions driven by coefficient tables of the even
-polynomial prod(z^2 - beta^2); route "closed" covers the one-line formulas
-for d in {1, 2, 3, 5, 7}; route "weyl" is the n = 0 leading term.
+Route "general" is the omega-parametrized double sum over the spectrum, valid
+for every omega >= 2n (and only there: omega = 2n-1 provably gives a different
+number, see `verify_sharpness`); each inner sum is a divided difference,
+computed as h_n of the eigenvalues.  Routes "odd" and "even" are the
+dimension-parity reductions driven by coefficient tables of the even polynomial
+prod(z^2 - beta^2); route "closed" covers the one-line formulas for d in
+{1, 2, 3, 5, 7}; route "weyl" is the n = 0 leading term, ahead of every other.
 
 All routes agree exactly where they overlap, which is the point: each one
 serves as an independent oracle for the others (`verify_crosscheck`).
-Formula "auto" takes whichever of the general and parity routes is
-estimated cheaper for the request (`heat_invariant_row`): the general route
-once d is large against n, the parity route otherwise.
+Formula "auto" takes the general route or the parity route of d, whichever
+`_general_is_cheaper` estimates cheaper for the request.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .spectrum import eigenvalue, multiplicity, weyl_leading_term  # noqa: F401 
 from .verification import VerificationReport
 
 CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
-# the values of heat_invariant's `formula`: "auto" picks a route, the rest name one
-FORMULAS = ("auto", "general", "odd", "even", "closed")
+_PARITY = ("even", "odd")  # the parity route of d, by d % 2
 
 
 # one cell: n, d, the omega of the route (int, or None for a closed form), the route's
@@ -150,6 +148,7 @@ def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
     """General-route value; requires omega >= 2n, where it is omega-independent."""
+    n, d, omega = _integer("n", n), _integer("d", d), _integer("omega", omega)
     if omega < 2 * n:
         raise ValueError(f"omega={omega} below the validity bound 2n={2 * n}")
     return _general_sums(n, d, [omega])[0]
@@ -193,6 +192,7 @@ def _odd_values(alpha: int, ns: list[int]) -> Iterator[ExactValue]:
 
 def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
     """a_{n, 2*alpha+1} as a single sum over the odd K-table."""
+    n, alpha = _integer("n", n), _integer("alpha", alpha)
     if n < 1 or alpha < 1:
         raise ValueError(f"need n >= 1 and alpha >= 1, got n={n}, alpha={alpha}")
     (value,) = _odd_values(alpha, [n])
@@ -251,6 +251,7 @@ def heat_invariant_even(n: int, nu: int) -> ExactValue:
     Bernoulli numbers over one common denominator; a row steps that
     polynomial along n, and a cell is the row at one n.
     """
+    n, nu = _integer("n", n), _integer("nu", nu)
     if n < 1 or nu < 1:
         raise ValueError(f"need n >= 1 and nu >= 1, got n={n}, nu={nu}")
     (value,) = _even_values(nu, [n])
@@ -265,6 +266,7 @@ def _closed_d2(n: int) -> Rational:
 
 def heat_invariant_closed(n: int, d: int) -> ExactValue:
     """One-line closed forms for d in {1, 2, 3, 5, 7}; n = 0 falls back to weyl."""
+    n, d = _integer("n", n), _integer("d", d)
     if d not in CLOSED_FORM_DIMENSIONS:
         supported = ", ".join(map(str, sorted(CLOSED_FORM_DIMENSIONS)))
         raise ValueError(f"no closed form for d={d}; supported: {supported}")
@@ -291,9 +293,36 @@ def _integer(name: str, value: object) -> int:
     return operator.index(value)
 
 
+def _parity_values(route: str, ns: list[int], d: int) -> Iterable[ExactValue]:
+    # the "odd" or "even" entry of ROUTES: its kernel at a d of its parity, else an error
+    if route != _PARITY[d % 2]:
+        raise ValueError(f"{route} route needs {route} d, got {d}")
+    if d == 1:
+        return [ExactValue(Fraction(0))] * len(ns)  # alpha = 0: an empty sum
+    return _odd_values(d // 2, ns) if d % 2 else _even_values(d // 2, ns)
+
+
+# route name -> row kernel: the ascending distinct ns >= 1 of one d -> their values, or a
+# ValueError for a d the route does not serve; the general route takes an omega, 2n by default.
+# Each entry looks its kernel up on this module when called, so a replaced one (by a test or
+# a tracer) is the one that runs.
+ROUTES = {
+    "general": lambda ns, d, omega=None: [
+        heat_invariant_general(n, d, 2 * n if omega is None else omega) for n in ns
+    ],
+    "odd": lambda ns, d: _parity_values("odd", ns, d),
+    "even": lambda ns, d: _parity_values("even", ns, d),
+    "closed": lambda ns, d: [heat_invariant_closed(n, d) for n in ns],
+}
+FORMULAS = ("auto", *ROUTES)  # heat_invariant's formula: "auto" picks a route, the rest name one
+
+
 def _general_is_cheaper(ns: list[int], d: int) -> bool:
-    # heat_invariant_row's rule over the ascending distinct ns >= 1: 2n^2 h-steps at 3/2 and
-    # a + 8 per cell (fitted to d-sized factorials) against a K-table of a roots cut to top + 1
+    """The "auto" rule for the ascending distinct ns >= 1 of one d: the general route
+    (omega = 2n) when sum over ns of (3n^2 + a + 8) < a (min(max ns, a - 1) + 1), a = d // 2,
+    else the parity route of d.  That is 2n^2 h-steps per n, weighted 3/2, and a + 8 per cell
+    (fitted while the general route formed factorials of size d), against a K-table of a roots
+    cut to top + 1; for one n, from d = 24 at n = 1 and from d = 6n + 2 on for n >= 9."""
     a = d // 2
     return bool(ns) and sum(3 * n * n + a + 8 for n in ns) < a * (min(ns[-1], a - 1) + 1)
 
@@ -301,11 +330,7 @@ def _general_is_cheaper(ns: list[int], d: int) -> bool:
 def heat_invariant(
     n: int, d: int, omega: int | None = None, formula: str = "auto"
 ) -> HeatInvariantResult:
-    """One cell: the row of one, `heat_invariant_row([n], d, omega, formula)`.
-
-    Under "auto" it takes the general route (omega = 2n) when d // 2 > 3n + 8/n, so
-    from d = 24 at n = 1 and d = 6n + 2 from n = 9 on, and the parity route otherwise.
-    """
+    """One cell: the row of one, `heat_invariant_row([n], d, omega, formula)`."""
     (result,) = heat_invariant_row([n], d, omega, formula)
     return result
 
@@ -313,27 +338,20 @@ def heat_invariant(
 def heat_invariant_row(
     ns: Iterable[int], d: int, omega: int | None = None, formula: str = "auto"
 ) -> list[HeatInvariantResult]:
-    """The dispatcher over the routes: [a_{n,d} for n in ns], recording which route ran.
+    """The dispatcher over `ROUTES`: [a_{n,d} for n in ns], recording which route ran.
 
     d, omega and every n (integers), the formula name and the omega/formula
     pairing are validated before anything is computed.  n = 0 is always the
     Weyl term (no formula covers it), ahead of both `omega` and `formula`.
-    An explicit omega under "auto" forces the general route, and "odd" or
-    "even" force the parity route.  Otherwise "auto" takes, once per request,
-    the general route at omega = 2n if sum over the distinct n >= 1 of
-    (3n^2 + a + 8) < a (min(max n, a-1) + 1), a = d // 2, else the parity
-    route of d; the records say which ran, so a row and its cells may differ
-    in route, never in value.  Fitted on 420 cells and 112 rows 0..N (n, N <=
-    80, d <= 1201, CPython 3.11) while the general route still formed
-    factorials of size d.  Without them, one n measured faster on the general
-    route from d = 13, 56, 109, 202, 441 at n = 1, 11, 20, 40, 80, and the rule
-    switches at d = 24, 68, 122, 242, 482; a row 0..4 from d = 110, switching at
-    246; rows 0..8 at d = 1201 took 0.5 ms general, 2.3 ms odd, and switch at 1354.
+    A named formula runs its route, and an explicit omega the general route
+    at that omega.  "auto" takes, once per request, the route that
+    `_general_is_cheaper` picks; the records say which ran, so a row and its
+    cells may differ in route, never in value.
 
-    The route is chosen once, and its kernel runs once over the distinct
-    n >= 1, ascending: both parity routes are a Cauchy product of
-    e^(rho^2 t), rho = (d-1)/2, with an n-independent series (Cahn-Wolf),
-    so the K-table and the series are built once up to max(ns).
+    The route's kernel runs once over the distinct n >= 1, ascending: both
+    parity routes are a Cauchy product of e^(rho^2 t), rho = (d-1)/2, with
+    an n-independent series (Cahn-Wolf), so the K-table and the series are
+    built once up to max(ns).
     """
     d = _integer("d", d)
     if d < 1:
@@ -349,27 +367,16 @@ def heat_invariant_row(
         raise ValueError(f"omega is incompatible with formula {formula!r}; it is the general route's")
 
     distinct = sorted(set(ns) - {0})
-    omegas = [None] * len(distinct)
-    if formula == "auto" and omega is None and _general_is_cheaper(distinct, d):
-        formula = "general"
-    if formula == "general" or omega is not None:
-        route = "general"
+    if formula == "auto":  # an explicit omega forces the general route
+        general = omega is not None or _general_is_cheaper(distinct, d)
+        formula = "general" if general else _PARITY[d % 2]
+    if formula == "general":  # the one route with an omega: 2n unless one is given
         omegas = [2 * n if omega is None else omega for n in distinct]
-        values = [heat_invariant_general(n, d, w) for n, w in zip(distinct, omegas)]
-    elif formula == "closed":
-        route = "closed"
-        values = [heat_invariant_closed(n, d) for n in distinct]
-    else:
-        route = "odd" if d % 2 else "even"
-        if distinct and formula not in ("auto", route):
-            raise ValueError(f"{formula} route needs {formula} d, got {d}")
-        if d == 1:
-            values = [ExactValue(Fraction(0))] * len(distinct)  # alpha = 0: an empty sum
-        elif d % 2:
-            values = _odd_values((d - 1) // 2, distinct)
-        else:
-            values = _even_values(d // 2, distinct)
-    results = {n: HeatInvariantResult(n, d, w, route, v) for n, w, v in zip(distinct, omegas, values)}
+        values = ROUTES["general"](distinct, d, omega)
+    else:  # a request with no n >= 1 asks no route to serve d
+        omegas = [None] * len(distinct)
+        values = ROUTES[formula](distinct, d) if distinct else ()
+    results = {n: HeatInvariantResult(n, d, w, formula, v) for n, w, v in zip(distinct, omegas, values)}
     if 0 in ns:
         results[0] = HeatInvariantResult(0, d, None, "weyl", weyl_leading_term(d))
     return [results[n] for n in ns]
@@ -378,8 +385,8 @@ def heat_invariant_row(
 def verify_crosscheck(
     n: tuple[int, int] = (1, 8), d: tuple[int, int] = (2, 11)
 ) -> VerificationReport:
-    """General route at omega = 2n, cell by cell, against the parity route's row,
-    named, so that it runs even where `auto` would take the general route."""
+    """The general entry of `ROUTES` against the parity entry of each d, cell by
+    cell, so that the parity route runs even where `auto` would not take it."""
     (n_lo, n_hi), (d_lo, d_hi) = n, d
     report = VerificationReport(
         "crosscheck", [("n", f"{n_lo}..{n_hi}"), ("d", f"{d_lo}..{d_hi}")]
@@ -387,10 +394,8 @@ def verify_crosscheck(
     ns = range(n_lo, n_hi + 1)
     for d in range(d_lo, d_hi + 1):
         # the general side first: a bad n or d raises its error, as cell by cell did
-        generals = [heat_invariant_general(k, d, 2 * k) for k in ns]
-        parities = heat_invariant_row(ns, d, formula="odd" if d % 2 else "even")
-        for k, general, parity in zip(ns, generals, parities):
-            report.record({"n": k, "d": d}, general, parity.value)
+        for k, general, parity in zip(ns, ROUTES["general"](ns, d), ROUTES[_PARITY[d % 2]](ns, d)):
+            report.record({"n": k, "d": d}, general, parity)
     return report
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import ExactValue, Polynomial, Rational, gamma_half
-from .spectrum import multiplicity, weyl_leading_term
+from .spectrum import multiplicity
 from .verification import VerificationReport
 
 ZERO_POLY = Polynomial(())
@@ -127,11 +127,10 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
         raise ValueError(f"need 0 <= k <= j, got j={j}, k={k}")
     if d < 2:
         raise ValueError(f"weight needs d >= 2, got {d}")
-    sign = -1 if k % 2 else 1
-    front = Fraction(sign * 2**j * math.perm(j, k), math.factorial(j + k + d - 1))  # j!/(j-k)!
-    # (4 pi)^(d/2) / vol(S^d) is 1 / the Weyl term
-    value = gamma_half(2 * j + d) * front * multiplicity(k, d) / weyl_leading_term(d)
-    return value.as_rational()
+    # (4 pi)^(d/2) / vol(S^d) = (d-1)!/Gamma(d/2): one integer quotient, (-1)^k j!/(j-k)!
+    # d(d+2)...(d+2j-2) mu_{k,d} over d(d+1)...(j+k+d-1)
+    top = (-1) ** k * math.perm(j, k) * math.prod(range(d, d + 2 * j, 2)) * multiplicity(k, d)
+    return Fraction(top, math.perm(j + k + d - 1, j + k))
 
 
 @lru_cache(maxsize=None)

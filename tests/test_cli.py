@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from heatsphere import asymptotics, opercalc
+from heatsphere import asymptotics, invariants, opercalc
 from heatsphere.cli import SUITES, _float_or_none, _log10_abs, _parser, main
 from heatsphere.invariants import heat_invariant
 from heatsphere.verification import VerificationReport
@@ -630,6 +630,12 @@ def test_asympt_high_dimension_prints_a_verdict():
     assert "Traceback" not in proc.stderr
     (line,) = proc.stdout.splitlines()
     assert json.loads(line)["d"] == 200
+
+
+def test_formula_choices_are_the_route_table():
+    compute = _parser()._subparsers._group_actions[0].choices["compute"]
+    (formula,) = [action for action in compute._actions if action.dest == "formula"]
+    assert tuple(formula.choices) == invariants.FORMULAS == ("auto", *invariants.ROUTES)
 
 
 def test_one_process_runs_commands_back_to_back(capsys):

@@ -222,6 +222,14 @@ def test_general_route_rejects_small_omega():
         heat_invariant_general(2, 3, 3)
     with pytest.raises(ValueError):
         heat_invariant_general(0, 3, 2)
+    # the integer rule comes first, as in the dispatcher
+    for args, message in (
+        ((1, 2.5, 2), "d must be an integer, not float: d=2.5"),
+        ((True, 3, 2), "n must be an integer, not bool: n=True"),
+        ((1, 3, 2.0), "omega must be an integer, not float: omega=2.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            heat_invariant_general(*args)
 
 
 @pytest.mark.parametrize(
@@ -231,6 +239,11 @@ def test_general_route_rejects_small_omega():
 def test_parity_routes_reject_nonpositive_arguments(route, name, n, index):
     with pytest.raises(ValueError, match=f"need n >= 1 and {name} >= 1, got n={n}, {name}={index}"):
         route(n, index)
+    # a non-integer is named before the range check, a bool included
+    with pytest.raises(ValueError, match=re.escape("n must be an integer, not bool: n=True")):
+        route(True, 1)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, not float: {name}=1.0")):
+        route(n, 1.0)
 
 
 def test_odd_route_values():
@@ -258,6 +271,10 @@ def test_closed_route_rejects_unsupported_dimension():
         heat_invariant_closed(1, 4)
     with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
         heat_invariant_closed(-1, 3)
+    with pytest.raises(ValueError, match=re.escape("d must be an integer, not float: d=3.0")):
+        heat_invariant_closed(1, 3.0)
+    with pytest.raises(ValueError, match=re.escape("n must be an integer, not str: n='1'")):
+        heat_invariant_closed("1", 5)
 
 
 def test_closed_matches_weyl_at_zero():
@@ -350,6 +367,23 @@ def test_cross_formula_equality_small_box():
             assert heat_invariant_general(n, 2 * alpha + 1, 2 * n) == heat_invariant_odd(n, alpha)
         for nu in range(1, 4):
             assert heat_invariant_general(n, 2 * nu, 2 * n) == heat_invariant_even(n, nu)
+    # every entry of the route table, at each d it serves, and today's error at the others
+    ns = list(range(1, 10))
+    refusals = {
+        "odd": "odd route needs odd d, got {d}",
+        "even": "even route needs even d, got {d}",
+        "closed": "no closed form for d={d}; supported: 1, 2, 3, 5, 7",
+    }
+    for d in range(1, 14):
+        general = [heat_invariant_general(n, d, 2 * n) for n in ns]
+        assert invariants.ROUTES["general"](ns, d) == general
+        serves = {"general", parity(d)} | ({"closed"} if d in (1, 2, 3, 5, 7) else set())
+        for name, kernel in invariants.ROUTES.items():
+            if name in serves:
+                assert list(kernel(ns, d)) == general, (name, d)
+            else:
+                with pytest.raises(ValueError, match=re.escape(refusals[name].format(d=d))):
+                    list(kernel(ns, d))
 
 
 @pytest.mark.parametrize(
@@ -682,6 +716,13 @@ def test_crosscheck_at_large_d_runs_the_odd_kernel(monkeypatch):
     report = verify_crosscheck(n=(1, 4), d=(301, 304))
     assert not report.passed
     assert {failure.parameters["d"] for failure in report.failures} == {301, 303}
+    # the route table looks each kernel up on the module, for the dispatcher too
+    monkeypatch.setattr(invariants, "_even_values", wrong)
+    report = verify_crosscheck(n=(1, 4), d=(301, 304))
+    assert {failure.parameters["d"] for failure in report.failures} == {301, 302, 303, 304}
+    for d in (301, 302):
+        row = heat_invariant_row([0, 1, 2], d, formula=parity(d))
+        assert [r.value for r in row[1:]] == wrong(d // 2, [1, 2])
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import prod
+from math import factorial, perm, prod
 
 import pytest
 
-from heatsphere.exactnum import ExactValue, Polynomial
+from heatsphere.exactnum import ExactValue, Polynomial, gamma_half
 from heatsphere.legendre import (
     ONE_MINUS_T,
     ZERO_POLY,
@@ -16,7 +16,7 @@ from heatsphere.legendre import (
     weighted_integral,
     weighted_moment,
 )
-from heatsphere.spectrum import multiplicity, sphere_volume
+from heatsphere.spectrum import multiplicity, sphere_volume, weyl_leading_term
 
 
 def poly(*coeffs):
@@ -105,11 +105,22 @@ def test_reconstruction():
             assert rebuilt == ONE_MINUS_T**j
 
 
+def closed_gamma_form(j, k, d):
+    # the product formula as printed, with Gamma(j + d/2) and the Weyl term: the reference
+    front = Fraction((-1) ** k * 2**j * perm(j, k), factorial(j + k + d - 1))
+    return (gamma_half(2 * j + d) * front * multiplicity(k, d) / weyl_leading_term(d)).as_rational()
+
+
 def test_closed_form_matches_brute_force():
     for d in range(2, 6):
         for j in range(5):
             for k in range(j + 1):
                 assert expansion_coeff_closed(j, k, d) == expansion_coeff(j, k, d)
+    # the integer quotient against the Gamma form it reduces, far past the brute-force box
+    for d in (*range(2, 13), 40, 61, 200):
+        for j in range(0, 31, 3 if d > 12 else 1):
+            for k in range(j + 1):
+                assert expansion_coeff_closed(j, k, d) == closed_gamma_form(j, k, d), (j, k, d)
 
 
 def test_closed_form_frozen_values():
