@@ -8,9 +8,10 @@ box and then the `asympt` probes; `asympt` runs the numeric remainder-order
 cross-check.  Exit codes: 0 success, 1 a verification or deviation
 failure, 2 usage or input errors.
 
-Each command computes its results and its exit code before anything is
-written, and returns the code with its lines; `main` alone writes them to
-stdout.
+Each command is declared once, in `COMMANDS`, and an argv that names one is
+parsed by that command's parser alone.  Each command computes its results and
+its exit code before anything is written, and returns the code with its lines;
+`main` alone writes them to stdout.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from . import asymptotics, identities, invariants, legendre, opercalc
-from .exactnum import ExactValue
+from .exactnum import pi_half_float
 from .verification import VerificationReport
 
 CSV_HEADER = ["n", "d", "omega", "route", "num", "den", "pi_half", "float"]
@@ -63,56 +64,34 @@ def _parse_rationals(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}") from None
 
 
-def _float_or_none(value: ExactValue) -> float | None:
-    """The rounded double, or None when the value is beyond double range."""
+def _csv_row(result: invariants.HeatInvariantResult) -> tuple:
+    """One CSV row: n, d, omega, route, num, den, pi_half, and the double (None beyond range)."""
+    n, d, omega, route, (coeff, pi_half) = result
     try:
-        return float(value)
+        double = float(result.value)
     except OverflowError:
-        return None
+        double = None
+    return (n, d, omega, route, coeff.numerator, coeff.denominator, pi_half, double)
 
 
-def _log10_abs(value: ExactValue) -> float | None:
-    """log10 |value| from the exact integers, so that magnitudes a double
-    cannot hold (or rounds to zero or a subnormal) survive; None for zero."""
-    coeff = value.coeff
-    if coeff == 0:
-        return None
-    logs = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
-    return logs + value.pi_half * math.log10(math.pi) / 2
-
-
-def _record_values(result: invariants.HeatInvariantResult) -> tuple:
-    """What JSON and CSV print: n, d, omega_used, route, num, den, pi_half, float, log10_abs."""
-    value = result.value
-    return (
-        result.n,
-        result.d,
-        result.omega_used,
-        result.route,
-        str(value.coeff.numerator),
-        str(value.coeff.denominator),
-        value.pi_half,
-        _float_or_none(value),
-        _log10_abs(value),
-    )
-
-
-def _json_number(x: int | float | None) -> str:
-    return "null" if x is None else repr(x)
-
-
-# One record as a JSON line: the bytes of json.dumps(record) with its default
-# separators, without building an encoder per record.  Nothing needs escaping or
-# a NaN rule: route names are fixed ASCII identifiers and num/den are decimal
-# digits; float(ExactValue) raises OverflowError instead of returning inf, so
-# float_value is finite or null, and _log10_abs of a nonzero rational is finite.
-# An int prints as str(int) and a float as repr(float), as json.dumps prints them.
+# One record as the bytes of json.dumps(record), built straight from the integers: routes are
+# ASCII identifiers, num/den decimal digits, pi_half_float raises OverflowError rather than
+# return inf, and log10_abs (from the exact integers, so that magnitudes beyond a double survive)
+# is finite or null, so nothing needs escaping or a NaN rule; str() of a float is its repr().
 def _json_line(result: invariants.HeatInvariantResult) -> str:
-    n, d, omega, route, num, den, pi_half, float_value, log10_abs = _record_values(result)
+    n, d, omega, route, (coeff, pi_half) = result
+    num, den = coeff.numerator, coeff.denominator
+    try:
+        double = pi_half_float(num, den, pi_half)
+    except OverflowError:
+        double = "null"
+    log10_abs = "null"
+    if num:
+        log10_abs = math.log10(abs(num)) - math.log10(den) + pi_half * math.log10(math.pi) / 2
     return (
-        f'{{"n": {n}, "d": {d}, "omega_used": {_json_number(omega)}, "route": "{route}", '
-        f'"value": {{"num": "{num}", "den": "{den}", "pi_half": {pi_half}}}, '
-        f'"float_value": {_json_number(float_value)}, "log10_abs": {_json_number(log10_abs)}}}\n'
+        f'{{"n": {n}, "d": {d}, "omega_used": {"null" if omega is None else omega}, '
+        f'"route": "{route}", "value": {{"num": "{num}", "den": "{den}", "pi_half": {pi_half}}}, '
+        f'"float_value": {double}, "log10_abs": {log10_abs}}}\n'
     )
 
 
@@ -152,7 +131,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
-    writer.writerows(_record_values(result)[:-1] for result in results)  # no log10_abs
+    writer.writerows(map(_csv_row, results))
     return 0, [out.getvalue()]
 
 
@@ -175,7 +154,7 @@ SUITES = {
 }
 
 # the verify arguments that are not part of a sweep's box
-_NOT_BOX = ("command", "func", "target", "format")
+_NOT_BOX = ("command", "target", "format")
 
 # (d, n_terms) of the asympt probes `verify all` runs after the suites, each at the default t0
 _PROBES = [(d, n_terms) for d in (2, 3, 5) for n_terms in (2, 3, 4)]
@@ -256,6 +235,61 @@ def _check_machine_sized(args: argparse.Namespace) -> None:
             raise ValueError(f"{flag} {top} is above the largest supported integer {sys.maxsize}")
 
 
+# command -> (help, arguments, runner), each argument the flag and keywords of one add_argument
+# call: _parser builds the whole tree from it, and _command_parser the parser of one command.
+COMMANDS = {
+    "compute": (
+        "compute coefficients a(n, d)",
+        {
+            "--n": {"type": _parse_range, "required": True, "metavar": "INT|LO..HI"},
+            "--d": {"type": _parse_range, "required": True, "metavar": "INT|LO..HI"},
+            "--omega": {"type": int},
+            "--formula": {"choices": invariants.FORMULAS, "default": "auto"},
+            "--format": {"choices": ("json", "csv", "markdown"), "default": "json"},
+        },
+        cmd_compute,
+    ),
+    "verify": (
+        "run an exact verification sweep, or all of them and the asympt probes",
+        {
+            "target": {"choices": [*SUITES, "all"]},
+            **dict.fromkeys(("--n", "--d"), {"type": _parse_span, "metavar": "INT|LO..HI"}),
+            "--offset": {
+                "type": _parse_span,
+                "metavar": "INT|LO..HI",
+                "help": "omega = 2n + offset (negative offsets probe below the bound)",
+            },
+            "--x": {"type": _parse_rationals, "metavar": "Q[,Q...]"},
+            **dict.fromkeys(("--j-max", "--t-max", "--s-max", "--slack"), {"type": int}),
+            "--format": {"choices": ("text", "json"), "default": "text"},
+        },
+        cmd_verify,
+    ),
+    "asympt": (
+        "numeric remainder-order cross-check",
+        {
+            "--d": {"type": int, "required": True},
+            "--n-terms": {"type": int, "required": True},
+            "--t0": {"type": float, "default": asymptotics.DEFAULT_T0},
+            "--max-dev": {"type": float, "default": asymptotics.MAX_DEVIATION},
+        },
+        cmd_asympt,
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, keywords in COMMANDS[name][1].items():
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(command=name)  # as the tree's subparsers set it
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    return _add_arguments(argparse.ArgumentParser(prog=f"heatsphere {name}"), name)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -263,44 +297,19 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact heat-trace coefficients of round spheres and their verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="compute coefficients a(n, d)")
-    compute.add_argument("--n", type=_parse_range, required=True, metavar="INT|LO..HI")
-    compute.add_argument("--d", type=_parse_range, required=True, metavar="INT|LO..HI")
-    compute.add_argument("--omega", type=int, default=None)
-    compute.add_argument("--formula", choices=invariants.FORMULAS, default="auto")
-    compute.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-    compute.set_defaults(func=cmd_compute)
-
-    verify = sub.add_parser(
-        "verify", help="run an exact verification sweep, or all of them and the asympt probes"
-    )
-    verify.add_argument("target", choices=[*SUITES, "all"])
-    verify.add_argument("--n", type=_parse_span, default=None, metavar="INT|LO..HI")
-    verify.add_argument("--d", type=_parse_span, default=None, metavar="INT|LO..HI")
-    verify.add_argument(
-        "--offset",
-        type=_parse_span,
-        default=None,
-        metavar="INT|LO..HI",
-        help="omega = 2n + offset (negative offsets probe below the bound)",
-    )
-    verify.add_argument("--x", type=_parse_rationals, default=None, metavar="Q[,Q...]")
-    verify.add_argument("--j-max", dest="j_max", type=int, default=None)
-    verify.add_argument("--t-max", dest="t_max", type=int, default=None)
-    verify.add_argument("--s-max", dest="s_max", type=int, default=None)
-    verify.add_argument("--slack", type=int, default=None)
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(func=cmd_verify)
-
-    asympt = sub.add_parser("asympt", help="numeric remainder-order cross-check")
-    asympt.add_argument("--d", type=int, required=True)
-    asympt.add_argument("--n-terms", dest="n_terms", type=int, required=True)
-    asympt.add_argument("--t0", type=float, default=asymptotics.DEFAULT_T0)
-    asympt.add_argument("--max-dev", dest="max_dev", type=float, default=asymptotics.MAX_DEVIATION)
-    asympt.set_defaults(func=cmd_asympt)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as the whole tree parses it, which is built only for what its top level reports
+    itself: no command, an unknown one, its -h, and what a command's parser leaves over."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -308,9 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:  # Python 3.11+: str() of a valid coefficient may pass
         sys.set_int_max_str_digits(0)  # the default 4300 digits; lifted for main only
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         _check_machine_sized(args)
-        code, lines = args.func(args)
+        code, lines = COMMANDS[args.command][2](args)
         sys.stdout.writelines(lines)
         sys.stdout.flush()
     except SystemExit as exc:  # argparse exits with an int: 0 for --help, 2 for a usage error

@@ -16,6 +16,7 @@ rising factorials are `math.factorial`, `math.comb`, `math.perm`, `math.prod`.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -28,6 +29,26 @@ Rational = Fraction
 # coeff * SQRT_PI**pi_half, which is the one nearest the true value unless that
 # lies within about 1e-60 (relative) of a halfway point between two doubles.
 SQRT_PI = Fraction("1.77245385090551602729816748334114518279754945612238712821381")
+_SQRT_PI_NUM, _SQRT_PI_DEN = SQRT_PI.numerator, SQRT_PI.denominator
+
+
+def integer(name: str, value: object) -> int:
+    """value as an int, numpy ints too; a bool, float, str or None is a ValueError naming it."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}: {name}={value!r}")
+    return operator.index(value)
+
+
+def pi_half_float(num: int, den: int, k: int) -> float:
+    """The double nearest num/den * SQRT_PI**k, or OverflowError beyond double range: one
+    correctly rounded int / int division, as float() of the reduced Fraction product gives."""
+    if k > 0:
+        return num * _SQRT_PI_NUM**k / (den * _SQRT_PI_DEN**k)
+    if k < 0:
+        return num * _SQRT_PI_DEN**-k / (den * _SQRT_PI_NUM**-k)
+    return num / den
 
 
 def _unordered(self, other):
@@ -93,18 +114,8 @@ class ExactValue(namedtuple("ExactValue", "coeff pi_half")):
         return self.coeff
 
     def __float__(self) -> float:
-        """The double nearest coeff * SQRT_PI**pi_half, or OverflowError beyond double range.
-
-        One int / int division, which Python rounds correctly: the unreduced
-        pair stands for the same rational as the reduced Fraction product, so
-        the double (and any overflow) is the one float() of that product gives.
-        """
-        num, den, k = self.coeff.numerator, self.coeff.denominator, self.pi_half
-        if k > 0:
-            return num * SQRT_PI.numerator**k / (den * SQRT_PI.denominator**k)
-        if k < 0:
-            return num * SQRT_PI.denominator**-k / (den * SQRT_PI.numerator**-k)
-        return num / den
+        """The double nearest coeff * SQRT_PI**pi_half (`pi_half_float`)."""
+        return pi_half_float(self.coeff.numerator, self.coeff.denominator, self.pi_half)
 
     def __str__(self) -> str:
         if self.pi_half == 0:

@@ -29,8 +29,9 @@ from .exactnum import (
     alternating_binomial_sum,
     bernoulli,
     bernoulli_series,
+    integer,
 )
-from .spectrum import eigenvalue, multiplicity, weyl_leading_term  # noqa: F401 (bench traces it)
+from .spectrum import multiplicity, weyl_leading_term  # noqa: F401 (bench traces it)
 from .verification import VerificationReport
 
 CLOSED_FORM_DIMENSIONS = frozenset({1, 2, 3, 5, 7})
@@ -140,7 +141,7 @@ def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
     h = [1] + [0] * n  # h[m] = h_m of the nodes so far; lambda_0 = 0 adds nothing
     yield 0  # j = 0: no k
     for j in range(1, omega + 1):
-        lam = eigenvalue(j, d)
+        lam = j * (j + d - 1)  # the eigenvalue; the route has checked d
         for m in range(1, n + 1):
             h[m] += lam * h[m - 1]  # ascending: h[m - 1] already counts lam
         yield -h[n] if j % 2 else h[n]
@@ -148,7 +149,7 @@ def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:
     """General-route value; requires omega >= 2n, where it is omega-independent."""
-    n, d, omega = _integer("n", n), _integer("d", d), _integer("omega", omega)
+    n, d, omega = integer("n", n), integer("d", d), integer("omega", omega)
     if omega < 2 * n:
         raise ValueError(f"omega={omega} below the validity bound 2n={2 * n}")
     return _general_sums(n, d, [omega])[0]
@@ -192,7 +193,7 @@ def _odd_values(alpha: int, ns: list[int]) -> Iterator[ExactValue]:
 
 def heat_invariant_odd(n: int, alpha: int) -> ExactValue:
     """a_{n, 2*alpha+1} as a single sum over the odd K-table."""
-    n, alpha = _integer("n", n), _integer("alpha", alpha)
+    n, alpha = integer("n", n), integer("alpha", alpha)
     if n < 1 or alpha < 1:
         raise ValueError(f"need n >= 1 and alpha >= 1, got n={n}, alpha={alpha}")
     (value,) = _odd_values(alpha, [n])
@@ -251,7 +252,7 @@ def heat_invariant_even(n: int, nu: int) -> ExactValue:
     Bernoulli numbers over one common denominator; a row steps that
     polynomial along n, and a cell is the row at one n.
     """
-    n, nu = _integer("n", n), _integer("nu", nu)
+    n, nu = integer("n", n), integer("nu", nu)
     if n < 1 or nu < 1:
         raise ValueError(f"need n >= 1 and nu >= 1, got n={n}, nu={nu}")
     (value,) = _even_values(nu, [n])
@@ -266,7 +267,7 @@ def _closed_d2(n: int) -> Rational:
 
 def heat_invariant_closed(n: int, d: int) -> ExactValue:
     """One-line closed forms for d in {1, 2, 3, 5, 7}; n = 0 falls back to weyl."""
-    n, d = _integer("n", n), _integer("d", d)
+    n, d = integer("n", n), integer("d", d)
     if d not in CLOSED_FORM_DIMENSIONS:
         supported = ", ".join(map(str, sorted(CLOSED_FORM_DIMENSIONS)))
         raise ValueError(f"no closed form for d={d}; supported: {supported}")
@@ -284,13 +285,6 @@ def heat_invariant_closed(n: int, d: int) -> ExactValue:
         return ExactValue(Fraction(4) ** (n - 3) * (6 - n) / (3 * math.factorial(n)), 1)
     poly = 16 * n * n - 286 * n + 1215
     return ExactValue(Fraction(3) ** (2 * n - 6) * poly / (640 * math.factorial(n)), 1)
-
-
-def _integer(name: str, value: object) -> int:
-    """value as an int, numpy ints too; a bool, float, str or None is a ValueError naming it."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, not {type(value).__name__}: {name}={value!r}")
-    return operator.index(value)
 
 
 def _parity_values(route: str, ns: list[int], d: int) -> Iterable[ExactValue]:
@@ -353,11 +347,11 @@ def heat_invariant_row(
     an n-independent series (Cahn-Wolf), so the K-table and the series are
     built once up to max(ns).
     """
-    d = _integer("d", d)
+    d = integer("d", d)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    omega = None if omega is None else _integer("omega", omega)
-    ns = [_integer("n", n) for n in ns]
+    omega = None if omega is None else integer("omega", omega)
+    ns = [integer("n", n) for n in ns]
     for n in ns:
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")

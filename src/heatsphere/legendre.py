@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ExactValue, Polynomial, Rational, gamma_half
+from .exactnum import ExactValue, Polynomial, Rational, gamma_half, integer
 from .spectrum import multiplicity
 from .verification import VerificationReport
 
@@ -28,13 +28,14 @@ ONE_MINUS_T = Polynomial((Fraction(1), Fraction(-1)))
 _tables: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True must not hit the entries of 3 and 1
 def weighted_moment(m: int, d: int) -> ExactValue:
     """Integral of t^m (1-t^2)^((d-2)/2) over [-1, 1].
 
     Zero for odd m; for m = 2r the Beta integral gives
     Gamma(r + 1/2) Gamma(d/2) / Gamma(r + 1/2 + d/2).
     """
+    m, d = integer("m", m), integer("d", d)
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
     if d < 2:
@@ -82,13 +83,14 @@ def weighted_integral(p: Polynomial, d: int) -> ExactValue:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gegenbauer_poly(k: int, d: int) -> Polynomial:
     """Degree-k polynomial orthogonal to all lower degrees, value 1 at t = 1.
 
     Built by Gram-Schmidt on the monomial basis against the exact weighted
     moments; no recurrence constants are imported from elsewhere.
     """
+    k, d = integer("k", k), integer("d", d)
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
     basis = _moment_table(d, k + 1)[1][k]
@@ -102,6 +104,7 @@ def expansion_coeff(j: int, k: int, d: int) -> Rational:
     value is rational.  For k > j the coefficient is 0 (degree reasons) and
     is returned as such.
     """
+    j, k, d = integer("j", j), integer("k", k), integer("d", d)
     if j < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got j={j}, k={k}")
     if d < 2:
@@ -123,6 +126,7 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
     value agrees with `expansion_coeff` as is (ratio 1, not 2^j); see
     `verify_expansion`, which asserts that resolution.
     """
+    j, k, d = integer("j", j), integer("k", k), integer("d", d)
     if j < 0 or k < 0 or k > j:
         raise ValueError(f"need 0 <= k <= j, got j={j}, k={k}")
     if d < 2:
@@ -133,7 +137,7 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
     return Fraction(top, math.perm(j + k + d - 1, j + k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def norm_squared(k: int, d: int) -> ExactValue:
     """Weighted L^2 norm of the degree-k basis polynomial, exactly."""
     gegenbauer_poly(k, d)  # checks k and d

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from heatsphere import asymptotics, invariants, opercalc
-from heatsphere.cli import SUITES, _float_or_none, _log10_abs, _parser, main
-from heatsphere.invariants import heat_invariant
+from heatsphere import asymptotics, cli, invariants, opercalc
+from heatsphere.cli import COMMANDS, SUITES, _command_parser, _parser, main
+from heatsphere.exactnum import SQRT_PI
+from heatsphere.invariants import heat_invariant, heat_invariant_row
 from heatsphere.verification import VerificationReport
 
 
@@ -79,8 +80,31 @@ def test_compute_markdown_shape(capsys):
     ]
 
 
+def reference_float(value) -> float | None:
+    """float_value as the formatter once computed it, through ExactValue.__float__."""
+    num, den, k = value.coeff.numerator, value.coeff.denominator, value.pi_half
+    try:
+        if k > 0:
+            return num * SQRT_PI.numerator**k / (den * SQRT_PI.denominator**k)
+        if k < 0:
+            return num * SQRT_PI.denominator**-k / (den * SQRT_PI.numerator**-k)
+        return num / den
+    except OverflowError:
+        return None
+
+
+def reference_log10_abs(value) -> float | None:
+    """log10_abs as the formatter once computed it: from the exact integers, None for zero."""
+    coeff = value.coeff
+    if coeff == 0:
+        return None
+    logs = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
+    return logs + value.pi_half * math.log10(math.pi) / 2
+
+
 def record_dict(result) -> dict:
-    """A compute record as a dict, built from the result, for json.dumps to encode."""
+    """A compute record as a dict, built from the result by the reference helpers above,
+    for json.dumps to encode."""
     value = result.value
     return {
         "n": result.n,
@@ -92,8 +116,8 @@ def record_dict(result) -> dict:
             "den": str(value.coeff.denominator),
             "pi_half": value.pi_half,
         },
-        "float_value": _float_or_none(value),
-        "log10_abs": _log10_abs(value),
+        "float_value": reference_float(value),
+        "log10_abs": reference_log10_abs(value),
     }
 
 
@@ -132,6 +156,14 @@ def test_compute_prints_what_the_cell_path_prints(capsys, box, no_int_digit_limi
     assert code == 0
     # byte for byte what json.dumps prints for the record of each cell's own result
     assert out == "".join(json.dumps(record_dict(r)) + "\n" for r in box_results(box))
+
+
+def test_compute_prints_the_table_box_as_the_reference_does(capsys):
+    # the benchmark's table box, byte for byte, against its rows by the reference helpers
+    code, out, _ = run_cli(capsys, "compute", "--n", "0..32", "--d", "1..72")
+    assert code == 0
+    rows = [heat_invariant_row(range(33), d) for d in range(1, 73)]
+    assert out == "".join(json.dumps(record_dict(r)) + "\n" for cells in zip(*rows) for r in cells)
 
 
 @pytest.fixture
@@ -351,8 +383,11 @@ def test_a_huge_negative_offset_still_runs():
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "compute", "--n", "1", "--d", "2", "--bogus")
-    assert code == 2
+    # a leftover argument is reported by the top level, with its usage line
+    code, out, err = run_cli(capsys, "compute", "--n", "1", "--d", "2", "--bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: heatsphere [-h] {compute,verify,asympt} ...\n")
+    assert err.endswith("heatsphere: error: unrecognized arguments: --bogus\n")
 
 
 def test_verify_s1_passes(capsys):
@@ -632,15 +667,93 @@ def test_asympt_high_dimension_prints_a_verdict():
     assert json.loads(line)["d"] == 200
 
 
+def tree_parsers() -> dict:
+    """command -> the parser that the whole tree holds for it."""
+    return _parser()._subparsers._group_actions[0].choices
+
+
 def test_formula_choices_are_the_route_table():
-    compute = _parser()._subparsers._group_actions[0].choices["compute"]
-    (formula,) = [action for action in compute._actions if action.dest == "formula"]
-    assert tuple(formula.choices) == invariants.FORMULAS == ("auto", *invariants.ROUTES)
+    for compute in (_command_parser("compute"), tree_parsers()["compute"]):
+        (formula,) = [action for action in compute._actions if action.dest == "formula"]
+        assert tuple(formula.choices) == invariants.FORMULAS == ("auto", *invariants.ROUTES)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_parser_is_the_trees(name):
+    assert list(tree_parsers()) == list(COMMANDS)
+    alone, in_tree = _command_parser(name), tree_parsers()[name]
+    assert alone.format_help() == in_tree.format_help()
+    assert alone.format_usage() == in_tree.format_usage()
+
+
+def test_a_command_builds_no_tree(capsys):
+    _parser.cache_clear()
+    assert run_cli(capsys, "compute", "--n", "1", "--d", "3")[0] == 0
+    assert run_cli(capsys, "verify", "sharpness")[0] == 0
+    assert _parser.cache_info().currsize == 0
+    assert run_cli(capsys, "compute", "--n", "1", "--d", "3", "--bogus")[0] == 2
+    assert _parser.cache_info().currsize == 1
+
+
+# argvs whose namespace or error the parser of one command and the whole tree must agree on
+PARSE_CORPUS = [
+    ("compute", "--n", "0..32", "--d", "1..72"),
+    ("compute", "--n=0..3", "--d", "2", "--omega", "9", "--formula", "general", "--format", "csv"),
+    ("verify", "s1g", "--n", "1..2", "--offset=-1..1", "--x", "0,1/2", "--format", "json"),
+    ("verify", "all"),
+    ("asympt", "--d", "3", "--n-terms", "3", "--t0", "0.01", "--max-dev", "0.5"),
+    ("--help",),
+    ("-h", "compute"),
+    ("compute", "--help"),
+    ("verify", "s1", "-h"),
+    ("asympt", "--help", "--bogus"),
+    ("compute", "--n", "1"),
+    ("asympt", "--n-terms", "3"),
+    ("verify",),
+    ("compute", "--n", "1", "--d", "3", "--format", "xml"),
+    ("verify", "s2"),
+    ("compute", "--n", "3..1", "--d", "2"),
+    ("verify", "s1", "--n", "x"),
+    ("compute", "--n", "1", "--d", "2", "--bogus"),
+    ("verify", "s1", "extra"),
+    ("asympt", "--d", "3", "--n-terms", "3", "--t0"),
+    (),
+    ("bogus", "--n", "1"),
+    ("comp", "--n", "1", "--d", "3"),
+    ("--", "compute", "--n", "1", "--d", "3"),
+    ("compute", "--n", "1", "--d", "3", "--"),
+    ("compute", "--", "--n", "1", "--d", "3"),
+    ("compute", "--n", "1", "--d", "3", "--", "4"),
+    ("compute", "--n", "1", "--d", "3", "--form", "csv"),
+    ("compute", "--n", "1", "--d", "3", "--o", "4"),
+    ("verify", "vychet", "--j-m", "5"),
+    ("asympt", "--d", "3", "--n-t", "3"),
+    ("compute", "--n", "1", "--d", "3", "--f", "csv"),
+    ("compute", "--n", "0", "--d", BIG),
+]
+
+
+def parsed_by_main(argv, capsys, monkeypatch) -> tuple:
+    """The namespaces main hands the runners of argv, its exit code and its output."""
+    seen = []
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        runner = lambda args: seen.append(args) or (0, [])  # noqa: E731
+        monkeypatch.setitem(COMMANDS, name, (help_text, arguments, runner))
+    code = main(list(argv))
+    return (seen, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "none")
+def test_command_parser_reads_argv_as_the_tree_does(argv, capsys, monkeypatch):
+    alone = parsed_by_main(argv, capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_parse", lambda argv: _parser().parse_args(argv))
+    assert alone == parsed_by_main(argv, capsys, monkeypatch)
 
 
 def test_one_process_runs_commands_back_to_back(capsys):
-    # the parser is built once per process; no call may see another's flags
+    # each parser is built once per process; no call may see another's flags
     assert _parser() is _parser()
+    assert all(_command_parser(name) is _command_parser(name) for name in COMMANDS)
     code, out, _ = run_cli(capsys, "compute", "--n", "1", "--d", "3")
     assert code == 0 and json.loads(out)["value"] == {"num": "1", "den": "4", "pi_half": 1}
     code, out, _ = run_cli(capsys, "verify", "s1", "--n", "1..2", "--offset", "0")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial, perm, prod
 
@@ -160,6 +161,36 @@ def test_closed_form_validation():
     # d is checked before the k > j shortcut, as every other legendre entry checks it
     with pytest.raises(ValueError, match="weight needs d >= 2, got -3"):
         expansion_coeff(1, 2, -3)
+
+
+def test_integer_rule():
+    # a non-integer is named before any range check; a cached value of 3 or 1 does not
+    # answer for 3.0 or True
+    assert gegenbauer_poly(2, 3) and weighted_moment(2, 3) and norm_squared(2, 3)
+    for call, message in (
+        (lambda: weighted_moment(2, 3.0), "d must be an integer, not float: d=3.0"),
+        (lambda: weighted_moment(2.0, 3), "m must be an integer, not float: m=2.0"),
+        (lambda: gegenbauer_poly(2, 3.0), "d must be an integer, not float: d=3.0"),
+        (lambda: gegenbauer_poly(True, 3), "k must be an integer, not bool: k=True"),
+        (lambda: norm_squared(2, 3.0), "d must be an integer, not float: d=3.0"),
+        (lambda: expansion_coeff(1, 0, 2.5), "d must be an integer, not float: d=2.5"),
+        (lambda: expansion_coeff(1, 2.0, -3), "k must be an integer, not float: k=2.0"),
+        (lambda: expansion_coeff_closed(True, 0, 3), "j must be an integer, not bool: j=True"),
+        (lambda: expansion_coeff_closed(1, 0, "3"), "d must be an integer, not str: d='3'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    class Index:  # an integer type that is not int, as numpy's are
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert expansion_coeff_closed(Index(2), Index(1), Index(3)) == expansion_coeff_closed(2, 1, 3)
+    assert expansion_coeff(Index(2), Index(1), Index(3)) == expansion_coeff(2, 1, 3)
+    assert gegenbauer_poly(Index(2), Index(3)) == gegenbauer_poly(2, 3)
 
 
 def test_verify_expansion_report():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,37 @@ def test_dimension_validation():
         eigenvalue(-1, 3)
     with pytest.raises(ValueError, match="eigenvalue index must be nonnegative, got -1"):
         multiplicity(-1, 3)
+
+
+class Index:  # an integer type that is not int, as numpy's are
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_rule():
+    # the rule of heat_invariant: a non-integer is named before any range check
+    for call, message in (
+        (lambda: eigenvalue(2, 3.0), "d must be an integer, not float: d=3.0"),
+        (lambda: eigenvalue(True, 3), "k must be an integer, not bool: k=True"),
+        (lambda: eigenvalue(1.5, 0), "k must be an integer, not float: k=1.5"),
+        (lambda: multiplicity(2, 3.5), "d must be an integer, not float: d=3.5"),
+        (lambda: multiplicity("2", 3), "k must be an integer, not str: k='2'"),
+        (lambda: sphere_volume(True), "d must be an integer, not bool: d=True"),
+        (lambda: weyl_leading_term(3.0), "d must be an integer, not float: d=3.0"),
+        (lambda: weyl_leading_term(None), "d must be an integer, not NoneType: d=None"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert eigenvalue(Index(2), Index(3)) == eigenvalue(2, 3) == 8
+    assert multiplicity(Index(2), Index(3)) == 9
+    assert sphere_volume(Index(3)) == sphere_volume(3)
+    assert weyl_leading_term(Index(5)) == weyl_leading_term(5)
+    # range errors come after the rule, in their old order
+    with pytest.raises(ValueError, match="sphere dimension must be positive, got 0"):
+        eigenvalue(-1, 0)
 
 
 def test_circle_multiplicities():
