@@ -15,6 +15,7 @@ import math
 import os
 from collections import namedtuple
 
+from .exactnum import integer
 from .invariants import HeatInvariantResult, heat_invariant, heat_invariant_row
 from .spectrum import multiplicity
 
@@ -81,36 +82,57 @@ def heat_trace_numeric(
         raise ValueError(f"t must be positive, got {t}")
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    total, added = _walk(d, t, rel_tol, _max_k())
+    cap = _max_k()  # the integer rule on d comes last, where multiplicity(1, d) applied it
+    total, added = _walk(integer("d", d), t, rel_tol, cap)
     if terms is not None:
         terms.append(added)
     return total
 
 
+# (d, logs, mu) of the last d walked: logs[k] = log mu_k for k < len(logs), mu = mu_{len(logs)}.
+# Neither depends on t, so remainder_order's walk at t0/2 reads what its walk at t0 stepped.  A
+# walk past the table extends a copy and replaces the snapshot whole: a lost one costs only time.
+_log_mu = (0, None, 1)
+
+
 def _walk(d: int, t: float, rel_tol: float, cap: int) -> tuple[float, int]:
     """heat_trace_numeric's sum and the number of terms k >= 1 it added."""
+    global _log_mu
     # Neither stopping rule can hold at k while term_k > gate * acc, so both are tested
     # only below it.  The tail from k holds term_k, and its bound takes mu_k <= (2k+d)^d / 1.5
     # in the same float t * k * (k + d - 1): a passing tail means term_k <= rel_tol * acc.
     # A frozen term is <= ulp(acc)/4 <= 2^-54 * acc, as acc >= 1.
-    gate = max(2 * rel_tol, 2**-53)
-    acc, k, mu = 1.0, 1, multiplicity(1, d)  # acc holds the k = 0 term
-    while k <= cap:
+    exp, log, ulp = math.exp, math.log, math.ulp
+    gate, c, acc = max(2 * rel_tol, 2**-53), d - 1, 1.0  # acc holds the k = 0 term
+    kept_d, logs, mu = _log_mu
+    if kept_d != d:
+        from array import array  # here, so that a process which sums nothing never loads it
+        logs, mu = array("d", [0.0]), multiplicity(1, d)
+    known = len(logs)
+    for k in range(1, cap + 1):
+        if k >= known:  # past the kept table: a copy of it takes log mu_k, and mu steps on
+            if k == known:
+                logs = logs[:]
+            logs.append(log(mu))
+            mu = mu * ((2 * k + d + 1) * (k + c)) // ((2 * k + c) * (k + 1))
         # exp(log mu - t lambda) keeps huge multiplicities inside float range
-        term = math.exp(math.log(mu) - t * k * (k + d - 1))
-        up, down = (2 * k + d + 1) * (k + d - 1), (2 * k + d - 1) * (k + 1)
+        term = exp(logs[k] - t * k * (k + c))
         if term <= gate * acc:
-            if _tail_within(d, t, k, math.log(rel_tol * acc)):
+            if _tail_within(d, t, k, log(rel_tol * acc)):
+                _log_mu = d, logs, mu
                 return acc, k - 1
             # Frozen once term <= ulp(acc)/4 and the term ratio up/down e^(-t(2k+d)) is < 1:
             # that ratio falls with k (up/down does, or is 1 at d = 1), so no later term passes
             # this one by more than exp's rounding, each stays below ulp(acc)/2, and acc + term
             # rounds to acc.
-            if term <= math.ulp(acc) / 4 and up / down * math.exp(-t * (2 * k + d)) < 1:
-                break
+            if term <= ulp(acc) / 4:
+                up, down = (2 * k + d + 1) * (k + c), (2 * k + c) * (k + 1)
+                if up / down * exp(-t * (2 * k + d)) < 1:
+                    break
         acc += term
-        mu = mu * up // down
-        k += 1
+    else:
+        k = cap + 1
+    _log_mu = d, logs, mu
     # acc is final; the rule decides on k+1..cap+1, and cap + 1 (the likeliest) goes first
     bound = math.log(rel_tol * acc)
     later = range(k + 1, cap + 1)

@@ -304,10 +304,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv as the whole tree parses it, which is built only for what its top level reports
-    itself: no command, an unknown one, its -h, and what a command's parser leaves over."""
+    itself: no command, an unknown one, its -h, and a command parser's leftovers but a lone "--"."""
     if argv and argv[0] in COMMANDS:
         args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
+        if not rest or rest == ["--"] and argv.count("--") == 1:
             return args
     return _parser().parse_args(argv)
 

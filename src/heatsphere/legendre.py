@@ -76,6 +76,9 @@ def _moments_of(q: tuple[int, ...], table: list[int], size: int) -> list[int]:
 
 
 def weighted_integral(p: Polynomial, d: int) -> ExactValue:
+    d = integer("d", d)
+    if d < 2:
+        raise ValueError(f"weight needs d >= 2, got {d}")
     total = ExactValue(Fraction(0))
     for i, c in enumerate(p.coefficients):
         if c != 0:

@@ -1,8 +1,13 @@
+import functools
 import math
 import os
+import random
+import sys
+import threading
 
 import pytest
 
+from heatsphere import asymptotics
 from heatsphere.asymptotics import (
     _NOISE_FLOOR,
     _SCAN_DEPTH,
@@ -233,3 +238,124 @@ def test_sum_frozen_before_the_cap_still_raises_at_the_cap(monkeypatch):
         plain_heat_trace(200, 0.05)
     with pytest.raises(TruncationCapError, match="more than 30 terms"):
         heat_trace_numeric(200, 0.05)
+
+
+@functools.cache
+def plain_outcome(d, t, rel_tol, cap):
+    """plain_heat_trace's (sum, stop) at HEATSPHERE_MAX_K = cap, or its error text."""
+    saved = os.environ.get("HEATSPHERE_MAX_K")
+    os.environ["HEATSPHERE_MAX_K"] = str(cap)
+    try:
+        acc, _, stop = plain_heat_trace(d, t, rel_tol)
+        return acc, stop
+    except TruncationCapError as exc:
+        return str(exc)
+    finally:
+        if saved is None:
+            del os.environ["HEATSPHERE_MAX_K"]
+        else:
+            os.environ["HEATSPHERE_MAX_K"] = saved
+
+
+def walk_outcome(d, t, rel_tol=1e-13):
+    terms = []
+    try:
+        return heat_trace_numeric(d, t, rel_tol, terms), *terms
+    except TruncationCapError as exc:
+        return str(exc)
+
+
+def test_kept_logs_are_the_log_multiplicities():
+    # after a walk the kept table holds log mu_k for every k it reached, and the next mu
+    for d, t in ((7, 0.01), (7, 0.005), (160, 3e-4), (1, 0.2)):
+        heat_trace_numeric(d, t)
+        kept_d, logs, mu = asymptotics._log_mu
+        assert kept_d == d and len(logs) > 1
+        assert list(logs) == [math.log(multiplicity(k, d)) for k in range(len(logs))]
+        assert mu == multiplicity(len(logs), d)
+
+
+KEPT_DIMENSIONS = (1, 2, 3, 8, 40, 41, 160)
+KEPT_TIMES = (0.5, 0.2, 0.1, 0.05, 0.005, 1e-3, 5e-4, 2e-4)
+
+
+_DESCENDING = [(d, t, 1e-13) for d in KEPT_DIMENSIONS for t in KEPT_TIMES]
+_TOLERANCES = [
+    (d, t, rel_tol)
+    for d in (2, 40)
+    for t in (0.05, 1e-3)
+    for rel_tol in (1e-13, 1e-6, 1e-17, 1e-12)
+]
+# calls that read, extend and replace the kept table, by name
+CALL_ORDERS = {
+    "ascending": [(d, t, 1e-13) for d in KEPT_DIMENSIONS for t in sorted(KEPT_TIMES)],
+    "descending": _DESCENDING,
+    # two dimensions in turn, so that every call replaces the table the last one left
+    "alternating": [
+        (d, t, 1e-13) for pair in ((40, 3), (160, 161)) for t in KEPT_TIMES for d in pair
+    ],
+    "tolerances": _TOLERANCES,
+    "shuffled": random.Random(7).sample(_DESCENDING + _TOLERANCES, len(_DESCENDING + _TOLERANCES)),
+}
+
+
+@pytest.mark.parametrize("order", CALL_ORDERS)
+def test_trace_is_the_plain_loops_double_in_any_call_order(monkeypatch, order):
+    monkeypatch.setattr(asymptotics, "_log_mu", (0, None, 1))
+    for d, t, rel_tol in CALL_ORDERS[order]:
+        assert walk_outcome(d, t, rel_tol) == plain_outcome(d, t, rel_tol, 1_000_000)
+
+
+def test_kept_table_after_the_cap_raises(monkeypatch):
+    # a walk cut by the cap keeps what it stepped; a longer table than the cap allows is read
+    # only up to the cap; raising the cap again extends the table from where it stopped
+    calls = [
+        (1_000_000, 200, 0.05),
+        (30, 200, 0.05),
+        (30, 200, 0.5),
+        (1_000_000, 200, 0.05),
+        (100, 2, 1e-7),
+        (1_000_000, 2, 1e-3),
+        (5, 2, 1e-3),
+        (1_000_000, 2, 1e-4),
+        (100, 2, 1e-4),
+        (1, 3, 0.05),
+        (1_000_000, 3, 0.05),
+    ]
+    raised = []
+    for cap, d, t in calls:
+        monkeypatch.setenv("HEATSPHERE_MAX_K", str(cap))
+        expected = plain_outcome(d, t, 1e-13, cap)
+        assert walk_outcome(d, t) == expected
+        raised.append(isinstance(expected, str))
+    assert raised == [cap < 1_000_000 and t < 0.5 for cap, d, t in calls]
+
+
+# one d: the threads extend and read one table; four: they also replace it for one another
+@pytest.mark.parametrize("dimensions", [(160,), (3, 40, 41, 160)])
+def test_kept_table_is_thread_safe(monkeypatch, dimensions):
+    # the small t make long extensions, during which other threads start walks at the same d
+    points = [(d, t) for d in dimensions for t in (0.2, 0.1, 0.02, 1e-3, 1e-4, 1e-5)]
+    truth = {(d, t): plain_outcome(d, t, 1e-13, 1_000_000) for d, t in points}
+    results = []
+
+    def worker(seed):
+        # each thread walks in its own (d, t) order, so the table is replaced and extended
+        # by one thread while others read it
+        order = random.Random(seed).sample(points, len(points))
+        results.append({(d, t): walk_outcome(d, t) for d, t in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(4):
+            monkeypatch.setattr(asymptotics, "_log_mu", (0, None, 1))
+            threads = [threading.Thread(target=worker, args=(8 * round_ + i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 32 and all(got == truth for got in results)

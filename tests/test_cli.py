@@ -722,6 +722,11 @@ PARSE_CORPUS = [
     ("comp", "--n", "1", "--d", "3"),
     ("--", "compute", "--n", "1", "--d", "3"),
     ("compute", "--n", "1", "--d", "3", "--"),
+    ("asympt", "--d", "3", "--n-terms", "2", "--"),
+    ("verify", "sharpness", "--"),
+    ("verify", "sharpness", "--", "--"),
+    ("verify", "--", "sharpness", "--"),
+    ("asympt", "--d", "3", "--n-terms", "2", "--", "--"),
     ("compute", "--", "--n", "1", "--d", "3"),
     ("compute", "--n", "1", "--d", "3", "--", "4"),
     ("compute", "--n", "1", "--d", "3", "--form", "csv"),
@@ -743,11 +748,31 @@ def parsed_by_main(argv, capsys, monkeypatch) -> tuple:
     return (seen, code, *capsys.readouterr())
 
 
+def tree_parse(argv):
+    # the tree reports a "--" that a command's parser leaves over, where _parse takes an argv's
+    # one "--", at its end, as the end of the options: the tree is asked about argv without it
+    lone_trailing = argv[-1:] == ["--"] and argv.count("--") == 1
+    return _parser().parse_args(argv[:-1] if lone_trailing else argv)
+
+
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "none")
 def test_command_parser_reads_argv_as_the_tree_does(argv, capsys, monkeypatch):
     alone = parsed_by_main(argv, capsys, monkeypatch)
-    monkeypatch.setattr(cli, "_parse", lambda argv: _parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse", tree_parse)
     assert alone == parsed_by_main(argv, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("compute", "--n", "1", "--d", "3"), ("asympt", "--d", "3", "--n-terms", "2")],
+    ids=lambda command: command[0],
+)
+def test_a_trailing_double_dash_ends_the_options(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--")
+    assert code == 0 and (code, out, err) == run_cli(capsys, *command)
+    # a "--" before the flags still makes them positionals, which no command takes
+    code, out, err = run_cli(capsys, command[0], "--", *command[1:])
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_one_process_runs_commands_back_to_back(capsys):

@@ -53,6 +53,16 @@ def test_weighted_moment_validation():
         gegenbauer_poly(-1, 3)
     with pytest.raises(ValueError, match="weight needs d >= 2, got 1"):
         gegenbauer_poly(2, 1)
+    # weighted_integral checks d itself, even where no moment is taken
+    for d, message in (
+        (2.5, "d must be an integer, not float: d=2.5"),
+        (True, "d must be an integer, not bool: d=True"),
+        (1, "weight needs d >= 2, got 1"),
+        (0, "weight needs d >= 2, got 0"),
+    ):
+        for p in (ZERO_POLY, poly(1, 0, 1)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                weighted_integral(p, d)
 
 
 def test_gegenbauer_low_degrees():
