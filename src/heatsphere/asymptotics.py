@@ -76,14 +76,14 @@ def heat_trace_numeric(
     or TruncationCapError, as adding every term would.  Deterministic for fixed inputs.
     If `terms` is given, the number of terms k >= 1 the sum added is appended to it.
     """
+    d = integer("d", d)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    cap = _max_k()  # the integer rule on d comes last, where multiplicity(1, d) applied it
-    total, added = _walk(integer("d", d), t, rel_tol, cap)
+    total, added = _walk(d, t, rel_tol, _max_k())
     if terms is not None:
         terms.append(added)
     return total

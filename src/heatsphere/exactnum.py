@@ -232,6 +232,7 @@ def gamma_half(m: int) -> ExactValue:
     Gamma(k) = (k-1)! for even m = 2k, and Gamma(k+1/2) = (2k)!/(4^k k!) sqrt(pi)
     for odd m = 2k+1.  pi_half is 1 iff m is odd.
     """
+    m = integer("m", m)
     if m <= 0:
         raise ValueError(f"gamma_half needs a positive integer, got {m}")
     k = m // 2
@@ -241,24 +242,30 @@ def gamma_half(m: int) -> ExactValue:
 
 
 # _tangents[k] = T_(2k-1), from tan z = sum T_(2k-1) z^(2k-1)/(2k-1)!, with a
-# placeholder at k = 0, by Brent & Harvey's integer algorithm (arXiv:1108.0286);
-# _series = [L, L F_1, ..., L F_k] for the k built so far, over one common
-# denominator L (bernoulli_series).  Both only grow, under one lock, so
+# placeholder at k = 0, by Brent & Harvey's integer algorithm (arXiv:1108.0286), whose
+# column j is built from column j - 1: _column is the last one built, about twice the
+# memory of the table; _series = [L, L F_1, ..., L F_k] for the k built so far, over one
+# common denominator L (bernoulli_series).  All only grow, under one lock, so
 # concurrent callers never see a half-built table.
 _tangents: list[int] = [0, 1]
+_column: list[int] = [1]
 _series: list[int] = [1]
 _tangent_lock = threading.Lock()
 
 
 def _grow_tangents(count: int) -> None:
-    # the caller holds _tangent_lock; a longer table is rebuilt at least twice as long
+    # the caller holds _tangent_lock.  Column j is c(k) = (j-k) c'(k) + (j-k+2) c(k-1) for k < j
+    # over the last column c' and c(0) = 0, so c(1) = (j-1)!, and T_(2j-1) = c(j) = 2 c(j-1).
+    # Built on copies and published together, so an exception midway leaves table and column whole
     if len(_tangents) <= count:
-        size = max(count, 2 * len(_tangents) - 2)
-        table = [0] + [math.factorial(k) for k in range(size)]
-        for k in range(2, size + 1):
-            for j in range(k, size + 1):
-                table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
-        _tangents[:] = table
+        table, column = _tangents[:], _column[:]
+        for j in range(len(table), count + 1):
+            acc = 0
+            for k, a in enumerate(range(j - 1, 0, -1)):  # a = j - (k+1): column[k] is c(k+1)
+                acc = column[k] = a * column[k] + (a + 2) * acc
+            column.append(2 * acc)
+            table.append(2 * acc)
+        _tangents[:], _column[:] = table, column
 
 
 def bernoulli_series(top: int) -> tuple[int, list[int]]:
@@ -267,6 +274,7 @@ def bernoulli_series(top: int) -> tuple[int, list[int]]:
     their denominators.  The series is kept and grows: a longer top builds only the
     new F_p, and rescales the old entries once if L grows; a shorter one is a prefix
     over the same L."""
+    top = integer("top", top)
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
     with _tangent_lock:
@@ -288,6 +296,7 @@ def bernoulli_series(top: int) -> tuple[int, list[int]]:
 def bernoulli(m: int) -> Rational:
     """Bernoulli number B_m under the B_1 = -1/2 convention (z/(e^z - 1)),
     with B_2p = (-1)^(p-1) 2p T_(2p-1) / (4^p (4^p - 1)) from the tangent numbers."""
+    m = integer("m", m)
     if m < 0:
         raise ValueError(f"bernoulli of negative index {m}")
     if m % 2:

@@ -142,8 +142,9 @@ def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
     yield 0  # j = 0: no k
     for j in range(1, omega + 1):
         lam = j * (j + d - 1)  # the eigenvalue; the route has checked d
+        acc = 1  # h[m - 1] with lam counted, from h[0] = 1
         for m in range(1, n + 1):
-            h[m] += lam * h[m - 1]  # ascending: h[m - 1] already counts lam
+            h[m] = acc = h[m] + lam * acc
         yield -h[n] if j % 2 else h[n]
 
 

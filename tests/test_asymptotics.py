@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import random
+import re
 import sys
 import threading
 
@@ -51,6 +52,23 @@ def test_trace_validation():
         heat_trace_numeric(2, 0.0)
     with pytest.raises(ValueError):
         heat_trace_numeric(2, 0.1, rel_tol=2.0)
+
+
+@pytest.mark.parametrize(
+    "d, t, message",
+    [
+        ("3", 0.1, "d must be an integer, not str: d='3'"),
+        (2.5, -1.0, "d must be an integer, not float: d=2.5"),  # d first, then t
+        (True, 0.1, "d must be an integer, not bool: d=True"),
+        (None, 0.1, "d must be an integer, not NoneType: d=None"),
+        (0, -1.0, "dimension must be positive, got 0"),
+        (2, -1.0, "t must be positive, got -1.0"),
+    ],
+)
+def test_trace_checks_d_first(monkeypatch, d, t, message):
+    monkeypatch.setenv("HEATSPHERE_MAX_K", "abc")  # the cap is read after every argument
+    with pytest.raises(ValueError, match=re.escape(message)):
+        heat_trace_numeric(d, t)
 
 
 def test_truncation_cap(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -36,6 +37,38 @@ def test_gamma_half_rejects_nonpositive():
         gamma_half(0)
 
 
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (bernoulli, True, "m must be an integer, not bool: m=True"),
+        (bernoulli, 2.0, "m must be an integer, not float: m=2.0"),
+        (bernoulli, "2", "m must be an integer, not str: m='2'"),
+        (gamma_half, True, "m must be an integer, not bool: m=True"),
+        (gamma_half, 3.0, "m must be an integer, not float: m=3.0"),
+        (gamma_half, None, "m must be an integer, not NoneType: m=None"),
+        (bernoulli_series, 2.0, "top must be an integer, not float: top=2.0"),
+        (bernoulli_series, False, "top must be an integer, not bool: top=False"),
+    ],
+)
+def test_bernoulli_and_gamma_half_take_only_integers(call, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_bernoulli_and_gamma_half_take_an_index_type():
+    assert bernoulli(Index(4)) == Fraction(-1, 30)
+    assert gamma_half(Index(5)) == ExactValue(Fraction(3, 4), 1)
+    assert bernoulli_series(Index(3)) == bernoulli_series(3)
+
+
 @given(st.integers(min_value=1, max_value=2000))
 def test_gamma_half_recurrence(m):
     # Gamma(m/2 + 1) = (m/2) Gamma(m/2)
@@ -70,15 +103,106 @@ def test_bernoulli_against_akiyama_tanigawa():
         assert bernoulli(m) == expected
 
 
+def brent_harvey(size):
+    # the one-shot Brent-Harvey loop: T_1..T_(2 size - 1) at table[1..size], and the last
+    # column of the triangle, c_size(k) = table[size] after pass k, at column[k - 1]
+    table = [0] + [math.factorial(k) for k in range(size)]
+    column = [table[size]]
+    for k in range(2, size + 1):
+        for j in range(k, size + 1):
+            table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
+        column.append(table[size])
+    return table, column
+
+
+REFERENCE, _ = brent_harvey(260)
+
+
+def fresh_tangents(monkeypatch):
+    # the tangent table and its kept column are one state: a reset starts both over
+    monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+    monkeypatch.setattr(exactnum, "_column", [1])
+
+
+def assert_tangent_state():
+    # the kept table is a prefix of the reference, and its column is the last one built
+    table, column = exactnum._tangents, exactnum._column
+    assert table == REFERENCE[: len(table)]
+    assert column == brent_harvey(len(table) - 1)[1]
+
+
+def test_brent_harvey_reference():
+    assert REFERENCE[:6] == [0, 1, 2, 16, 272, 7936]  # T_1, T_3, T_5, T_7, T_9
+    assert brent_harvey(3) == ([0, 1, 2, 16], [2, 8, 16])
+    for p in range(1, 60):
+        assert Fraction((-1) ** (p - 1) * 2 * p * REFERENCE[p], 4**p * (4**p - 1)) == (
+            akiyama_tanigawa(2 * p)
+        )
+
+
+@pytest.mark.parametrize(
+    "tops",
+    [
+        list(range(1, 130)),  # one column at a time
+        [3, 2, 17, 64, 65, 63, 129, 254, 255],  # in jumps, and below the top
+        [62, 77, 91, 107, 121, 136, 152, 170, 202, 240],  # the deep workload's tops
+        [240, None, 81, 2, 160],  # None resets: then out of order
+    ],
+    ids=["one-column", "jumps", "deep-tops", "after-reset"],
+)
+def test_tangent_table_grows_to_the_reference(monkeypatch, tops):
+    fresh_tangents(monkeypatch)
+    for top in tops:
+        if top is None:
+            fresh_tangents(monkeypatch)
+            continue
+        built = len(exactnum._tangents) - 1
+        with exactnum._tangent_lock:
+            exactnum._grow_tangents(top)
+        assert len(exactnum._tangents) == max(built, top) + 1  # grown to exactly the top
+        assert_tangent_state()
+
+
+def test_an_interrupted_growth_leaves_table_and_column_whole(monkeypatch):
+    # an exception in the middle of a column (here a KeyboardInterrupt raised from a line
+    # trace of _grow_tangents) must publish neither a half-built column nor its T
+    fresh_tangents(monkeypatch)
+    bernoulli(40)
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not exactnum._grow_tangents.__code__:
+            return None
+        if event == "line":
+            lines += 1
+            if lines == 5000:
+                raise KeyboardInterrupt
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            bernoulli(160)
+    finally:
+        sys.settrace(previous)
+    assert len(exactnum._tangents) == 21
+    assert_tangent_state()
+    assert bernoulli(160) == akiyama_tanigawa(160)
+    assert_tangent_state()
+
+
 def test_bernoulli_table_growth(monkeypatch):
     # start from an empty tangent table so each call below has to grow it
-    monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+    fresh_tangents(monkeypatch)
     assert bernoulli(24) == akiyama_tanigawa(24)
     for m in (60, 100):
         assert bernoulli(m) == akiyama_tanigawa(m)
-    assert len(exactnum._tangents) > 50
+    assert len(exactnum._tangents) == 51
     bernoulli_series(4)
     assert exactnum._tangents[:5] == [0, 1, 2, 16, 272]  # T_1, T_3, T_5, T_7
+    assert_tangent_state()
 
 
 @pytest.mark.parametrize("call, name", [(bernoulli_series, "top")])
@@ -96,7 +220,7 @@ def test_tangent_table_growth_is_thread_safe(monkeypatch):
     results = []
 
     def worker(seed):
-        # each thread asks in its own order, so rebuilds interleave with reads
+        # each thread asks in its own order, so growth interleaves with reads
         order = random.Random(seed).sample(sorted(truth), len(truth))
         results.append({m: bernoulli(m) for m in order})
 
@@ -104,13 +228,14 @@ def test_tangent_table_growth_is_thread_safe(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(20):
-            monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+            fresh_tangents(monkeypatch)
             threads = [threading.Thread(target=worker, args=(8 * round_ + i,)) for i in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
+            assert_tangent_state()  # a lost or doubled column leaves table and column apart
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 160 and all(got == truth for got in results)
@@ -131,7 +256,7 @@ def test_bernoulli_series_growth_is_thread_safe(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(20):
-            monkeypatch.setattr(exactnum, "_tangents", [0, 1])
+            fresh_tangents(monkeypatch)
             monkeypatch.setattr(exactnum, "_series", [1])
             threads = [threading.Thread(target=worker, args=(8 * round_ + i,)) for i in range(8)]
             for thread in threads:
@@ -141,6 +266,7 @@ def test_bernoulli_series_growth_is_thread_safe(monkeypatch):
             assert not any(thread.is_alive() for thread in threads)
             # a lost or doubled extension leaves the kept series off its exact form
             built = len(exactnum._series) - 1
+            assert_tangent_state()
             assert exactnum._series[0] == math.lcm(*(fp.denominator for fp in f[:built]))
     finally:
         sys.setswitchinterval(interval)
