@@ -168,6 +168,7 @@ def remainder_order(d: int, n_terms: int, t0: float = DEFAULT_T0) -> RemainderEs
     "beyond-all-orders"; when the measured remainder sits below the numeric
     noise floor the status is "inconclusive".  Neither is a failure.
     """
+    d, n_terms = integer("d", d), integer("n_terms", n_terms)
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
     if not 0 < t0 < 1:

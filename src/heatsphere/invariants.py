@@ -65,6 +65,7 @@ def k_table_odd(alpha: int, top: int | None = None) -> list[int]:
     With `top`, only c[alpha-top..alpha] (K_s for s >= alpha - top) is built and
     returned, so read it from the end: K_(alpha-k) = c[-1-k] for k <= top.
     """
+    alpha, top = integer("alpha", alpha), None if top is None else integer("top", top)
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return _expand_even_product((b * b for b in range(alpha)), alpha if top is None else top)
@@ -89,9 +90,10 @@ def k_table_even(nu: int, top: int | None = None) -> list[int]:
     returns a copy.  A cut table, or a whole one below the kept product, is built apart,
     so a cut table of a huge nu stays linear in nu and leaves the kept product alone.
     """
+    nu = integer("nu", nu)
     if nu < 1:
         raise ValueError(f"nu must be positive, got {nu}")
-    top = nu - 1 if top is None else top
+    top = nu - 1 if top is None else integer("top", top)
     if top >= nu - 1:
         with _even_lock:
             built = len(_even_product) - 1
@@ -115,7 +117,10 @@ def _general_pairs(n: int, d: int, omegas: Iterable[int]) -> list[tuple[int, int
     # factorial of size d left once (2j+d-1)!/(2j+d)! = 1/(2j+d) and, by Legendre's duplication,
     # Gamma(omega+d/2+1)/(d-1)! = weyl(d) prod_{i<=omega} (d+2i)/2^(omega+1): a_{n,d} is weyl(d)
     # (-1)^n T/(2^omega omega! (omega+n)!), T = sum_j h_j omega!/(omega-j)! (omega+n)!/(j+n)!
-    # prod_{i!=j} (d+2i) for the signed h_j that _general_inners yields, by ascending Horner.
+    # prod_{i!=j} (d+2i) for the signed h_j of _general_inners, by ascending Horner in blocks of
+    # 16 terms, whose weights (step, rho) stay a few machine digits; one big x big product folds a
+    # block into total.  At (79, 21, 158), on CPython 3.11 and a 2-core x86 host, blocks of 8..16
+    # terms take 0.10-0.11 ms, of 24 or 32 terms 0.11-0.12 ms, and the unblocked pass 0.27 ms.
     # Each omega gives the pair ((-1)^n T, 2^omega omega! (omega+n)!).
     if n < 1:
         raise ValueError(f"general route needs n >= 1, got {n}")
@@ -126,9 +131,14 @@ def _general_pairs(n: int, d: int, omegas: Iterable[int]) -> list[tuple[int, int
     values = []
     for omega in omegas:
         total, weight = 0, 1
-        for j in range(omega + 1):
-            total = total * ((j + n) * (2 * j + d)) + inners[j] * weight
-            weight *= (omega - j) * (2 * j + d)
+        for block in range(0, omega + 1, 16):
+            part, step, rho = 0, 1, 1
+            for j in range(block, min(block + 16, omega + 1)):
+                e = 2 * j + d
+                part = part * (r := (j + n) * e) + inners[j] * step
+                rho *= r
+                step *= (omega - j) * e
+            total, weight = total * rho + part * weight, weight * step
         scale = 2**omega * math.factorial(omega) * math.factorial(omega + n)
         values.append((-total if n % 2 else total, scale))
     return values
@@ -137,15 +147,18 @@ def _general_pairs(n: int, d: int, omegas: Iterable[int]) -> list[tuple[int, int
 def _general_inners(n: int, d: int, omega: int) -> Iterator[int]:
     # inner_j = sum_{k=1..j} (-1)^k C(2j+d-1, j-k) mu_k lambda_k^(j+n); by mu_k (d-1)!
     # prod_{i<=j, i!=k} (lambda_k - lambda_i) = (-1)^(j-k) (j-k)! (j+k+d-1)! it is (2j+d-1)!/(d-1)!
-    # times h_j = (-1)^j h_n(lambda_0..lambda_j), a divided difference of x^(j+n); this yields h_j
-    h = [1] + [0] * n  # h[m] = h_m of the nodes so far; lambda_0 = 0 adds nothing
-    yield 0  # j = 0: no k
-    for j in range(1, omega + 1):
-        lam = j * (j + d - 1)  # the eigenvalue; the route has checked d
-        acc = 1  # h[m - 1] with lam counted, from h[0] = 1
+    # times h_j = (-1)^j h_n(lambda_0..lambda_j), a divided difference of x^(j+n).  This yields h_j,
+    # two eigenvalues a pass over m; odd omega pairs from j = 0, where lambda_0 = 0 yields inner_0.
+    h = [1] + [0] * n  # h[m] = h_m of the nodes so far
+    if omega % 2 == 0:
+        yield 0  # j = 0: no k
+    for j in range(1 - omega % 2, omega + 1, 2):
+        lam1, lam2 = j * (j + d - 1), (j + 1) * (j + d)  # eigenvalues; the route has checked d
+        a1 = a2 = 1  # h[m - 1] with lam1 counted, and with lam2 too, from h[0] = 1
         for m in range(1, n + 1):
-            h[m] = acc = h[m] + lam * acc
-        yield -h[n] if j % 2 else h[n]
+            a1 = h[m] + lam1 * a1
+            h[m] = a2 = a1 + lam2 * a2
+        yield from (-a1, a2) if j % 2 else (a1, -a2)
 
 
 def heat_invariant_general(n: int, d: int, omega: int) -> ExactValue:

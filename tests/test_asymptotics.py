@@ -130,6 +130,22 @@ def test_remainder_order_validation():
         remainder_order(2, 2, t0=1.5)
 
 
+@pytest.mark.parametrize(
+    "d, n_terms, message",
+    [
+        (3, True, "n_terms must be an integer, not bool: n_terms=True"),
+        (3, 2.0, "n_terms must be an integer, not float: n_terms=2.0"),
+        (3, None, "n_terms must be an integer, not NoneType: n_terms=None"),
+        ("3", 2, "d must be an integer, not str: d='3'"),
+        (2.5, 0, "d must be an integer, not float: d=2.5"),  # d first, then n_terms
+        (True, 2, "d must be an integer, not bool: d=True"),
+    ],
+)
+def test_remainder_order_applies_the_integer_rule_first(d, n_terms, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        remainder_order(d, n_terms, t0=1.5)  # t0 is out of range too, and checked later
+
+
 def test_remainder_order_reports_probe_points():
     est = remainder_order(2, 2, t0=0.04)
     assert est.t_values == (0.04, 0.02)

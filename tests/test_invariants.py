@@ -18,6 +18,7 @@ from heatsphere.invariants import (
     _binomial_sum,
     _even_values,
     _general_inners,
+    _general_pairs,
     _general_sums,
     _odd_values,
     heat_invariant,
@@ -209,6 +210,32 @@ def test_k_table_validation(monkeypatch):
         with pytest.raises(ValueError, match=f"top must be nonnegative, got {top}"):
             k_table_even(nu, top)
     assert invariants._even_product == [1]
+
+
+class Index:  # an integer type that is not int, as numpy's are
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("table, name", [(k_table_odd, "alpha"), (k_table_even, "nu")])
+def test_k_tables_apply_the_integer_rule(monkeypatch, table, name):
+    # the size is named before its range check, and a given top before any work
+    monkeypatch.setattr(invariants, "_even_product", [1])
+    for args, message in (
+        ((True,), f"{name} must be an integer, not bool: {name}=True"),
+        ((3.0,), f"{name} must be an integer, not float: {name}=3.0"),
+        ((0.5, -1), f"{name} must be an integer, not float: {name}=0.5"),
+        ((3, 1.0), "top must be an integer, not float: top=1.0"),
+        ((3, True), "top must be an integer, not bool: top=True"),
+        ((3, "1"), "top must be an integer, not str: top='1'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table(*args)
+    assert invariants._even_product == [1]
+    assert table(Index(4), Index(1)) == table(4, 1) and table(Index(4)) == table(4)
 
 
 def test_general_route_values():
@@ -512,6 +539,57 @@ def test_general_inners_are_the_papers_double_sum(n):
         assert scaled == paper_inners(n, d, 3 * n + 4)
 
 
+def one_eigenvalue_inners(n, d, omega):
+    # the general route's signed h_j with h stepped by one eigenvalue per j, one pass over m each
+    h, inners = [1] + [0] * n, [0]
+    for j in range(1, omega + 1):
+        lam, acc = j * (j + d - 1), 1
+        for m in range(1, n + 1):
+            h[m] = acc = h[m] + lam * acc
+        inners.append(-h[n] if j % 2 else h[n])
+    return inners
+
+
+def plain_horner_pairs(n, d, omegas):
+    # the general route's pairs with T as one ascending Horner pass, the whole weight on each term
+    inners, pairs = one_eigenvalue_inners(n, d, max(omegas)), []
+    for omega in omegas:
+        total, weight = 0, 1
+        for j in range(omega + 1):
+            total = total * ((j + n) * (2 * j + d)) + inners[j] * weight
+            weight *= (omega - j) * (2 * j + d)
+        pairs.append(((-1) ** n * total, 2**omega * factorial(omega) * factorial(omega + n)))
+    return pairs
+
+
+def test_general_kernel_references():
+    # lambda_j = j (j + 2) at d = 3: 3, 8, 15
+    assert one_eigenvalue_inners(1, 3, 3) == [0, -3, 11, -26]  # -h_1(3), h_1(3, 8), -h_1(3, 8, 15)
+    assert one_eigenvalue_inners(2, 3, 2) == [0, -9, 97]  # -h_2(3), h_2(3, 8) = 9 + 24 + 64
+    # T = -3 * 2 * 3 * (3 * 7) + 11 * 2 * 1 * (3 * 5) = -48, and a_{1,3} = weyl(3) 48/48
+    assert plain_horner_pairs(1, 3, [2]) == [(48, 48)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_paired_inners_and_blocked_horner_equal_the_references(n):
+    # every omega 1..40: both parities of the pairs' start, one block, whole and cut blocks
+    for d in (1, 2, 5, 24):
+        for omega in range(1, 41):
+            assert list(_general_inners(n, d, omega)) == one_eigenvalue_inners(n, d, omega)
+            assert _general_pairs(n, d, [omega]) == plain_horner_pairs(n, d, [omega])
+        for top in (39, 40):  # one inner pass of either parity serves every lower omega
+            omegas = range(1, top + 1)
+            assert _general_pairs(n, d, omegas) == plain_horner_pairs(n, d, omegas)
+
+
+@pytest.mark.parametrize("n, d, omega", [(79, 21, 158), (60, 421, 120), (31, 333, 62)])
+def test_paired_inners_and_blocked_horner_at_deep_cells(n, d, omega):
+    omegas = [omega, omega + 1, omega + 5]  # both parities; the last block cut short
+    for w in omegas:
+        assert list(_general_inners(n, d, w)) == one_eigenvalue_inners(n, d, w)
+    assert _general_pairs(n, d, omegas) == plain_horner_pairs(n, d, omegas)
+
+
 def gamma_form(n, d, omega):
     # the general route as the paper writes it, before the duplication formula:
     # 2 (-1)^n Gamma(omega + d/2 + 1) sum_j inner_j / ((omega-j)! (j+n)! (2j+d)!)
@@ -616,13 +694,6 @@ def test_row_validation():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             heat_invariant(n, d, omega)
-
-    class Index:  # an integer type that is not int, as numpy's are
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
 
     assert heat_invariant(Index(2), Index(3), Index(5)) == heat_invariant(2, 3, 5)
     assert heat_invariant_row([Index(0), Index(1)], Index(4)) == heat_invariant_row([0, 1], 4)
