@@ -133,10 +133,10 @@ def _walk(d: int, t: float, rel_tol: float, cap: int) -> tuple[float, int]:
     else:
         k = cap + 1
     _log_mu = d, logs, mu
-    # acc is final; the rule decides on k+1..cap+1, and cap + 1 (the likeliest) goes first
-    bound = math.log(rel_tol * acc)
-    later = range(k + 1, cap + 1)
-    if _tail_within(d, t, cap + 1, bound) or any(_tail_within(d, t, j, bound) for j in later):
+    # acc is final, and the rule decides on k+1..cap+1 by cap + 1 alone: a tail that passes at
+    # j has rho(j) < 1, and rho falls with k while E(k+1) - E(k) = log rho(k) for the tail bound
+    # E = log_envelope - log1p(-rho), so E falls from j on and the tail passes at every later index
+    if _tail_within(d, t, cap + 1, math.log(rel_tol * acc)):
         return acc, k - 1
     raise TruncationCapError(
         f"needed more than {cap} terms at d={d}, t={t}; raise HEATSPHERE_MAX_K or increase t"

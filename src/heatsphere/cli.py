@@ -290,7 +290,6 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return _add_arguments(argparse.ArgumentParser(prog=f"heatsphere {name}"), name)
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatsphere",

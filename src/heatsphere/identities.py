@@ -22,20 +22,22 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .exactnum import ExactValue, Rational, alternating_binomial_sum, gamma_half, omega_sum
+from .exactnum import ExactValue, Rational, alternating_binomial_sum, gamma_half, integer, omega_sum
 from .verification import VerificationReport
 
 
-def _check_n_omega(n: int, omega: int) -> None:
+def _check_n_omega(n: int, omega: int) -> tuple[int, int]:
+    n, omega = integer("n", n), integer("omega", omega)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if omega < 0:
         raise ValueError(f"need omega >= 0, got {omega}")
+    return n, omega
 
 
 def s1_sum(n: int, omega: int, x: Rational | int) -> Rational:
     """Symmetrized double sum at rational x; zero whenever omega >= 2n."""
-    _check_n_omega(n, omega)
+    n, omega = _check_n_omega(n, omega)
     return _s1_sums(n, [omega], x)[0]
 
 
@@ -44,7 +46,7 @@ def s1_sum_one_sided(n: int, omega: int) -> Rational:
 
     (The k = 0 term is 0^(2j+2n) = 0, so symmetrizing exactly doubles.)
     """
-    _check_n_omega(n, omega)
+    n, omega = _check_n_omega(n, omega)
     return _s1_sums(n, [omega], 0, one_sided=True)[0]
 
 
@@ -68,7 +70,7 @@ def _s1_inners(omega: int, n: int, a: int, b: int, one_sided: bool = False) -> I
 def s3_sum(n: int, omega: int) -> ExactValue:
     """Left side of the three-sphere identity; equals s3_expected(n) for
     omega >= 2n."""
-    _check_n_omega(n, omega)
+    n, omega = _check_n_omega(n, omega)
     return _s3_sums(n, [omega])[0]
 
 
@@ -88,6 +90,7 @@ def _s3_inners(omega: int, n: int) -> Iterator[int]:
 
 def s3_expected(n: int) -> ExactValue:
     """Right side (-1)^(n+1) sqrt(pi) / (8 n!)."""
+    n = integer("n", n)
     sign = 1 if n % 2 else -1
     return ExactValue(Fraction(sign, 8 * math.factorial(n)), 1)
 
@@ -97,6 +100,7 @@ def alternating_power_sum(j: int, s: int) -> int:
 
     Uses the 0^0 = 1 convention at p = j, s = 0.
     """
+    j, s = integer("j", j), integer("s", s)
     if j < 0 or s < 0:
         raise ValueError(f"need j, s >= 0, got j={j}, s={s}")
     return alternating_binomial_sum(2 * j, ((p - j) ** s for p in range(2 * j + 1)))

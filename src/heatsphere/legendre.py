@@ -1,11 +1,11 @@
 """Exact Legendre/Gegenbauer polynomial algebra on [-1, 1].
 
-The weight is (1 - t^2)^((d-2)/2); one integer moment table per d drives every
-inner product, and the basis, Gram-Schmidt against it, is handed out as
-`exactnum.Polynomial`s of value 1 at t = 1.  Expansion coefficients of
-(1 - t)^j in this basis are computed twice: by brute-force integration (the
-ground truth) and by the closed product formula; `verify_expansion` checks the
-two against each other and against reconstruction of (1 - t)^j itself.
+The weight is (1 - t^2)^((d-2)/2); an integer moment table of d, built for each call,
+drives that call's inner products, and the basis, Gram-Schmidt against it, is handed
+out as `exactnum.Polynomial`s of value 1 at t = 1.  Expansion coefficients of (1 - t)^j
+in this basis are computed twice: by brute-force integration (the ground truth) and by
+the closed product formula; `verify_expansion` checks the two against each other and
+against reconstruction of (1 - t)^j itself.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import ExactValue, Polynomial, Rational, gamma_half, integer
 from .spectrum import multiplicity
@@ -22,13 +21,7 @@ from .verification import VerificationReport
 ZERO_POLY = Polynomial(())
 ONE_MINUS_T = Polynomial((Fraction(1), Fraction(-1)))
 
-# d -> (table, bases): the moments of one d share a power of pi, so table[m] / table[0] =
-# weighted_moment(m, d) / weighted_moment(0, d) for m < len(table) = 2 len(bases) - 1; bases[k]
-# is gegenbauer_poly(k, d) times the positive integer that makes its coefficients coprime
-_tables: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
 
-
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True must not hit the entries of 3 and 1
 def weighted_moment(m: int, d: int) -> ExactValue:
     """Integral of t^m (1-t^2)^((d-2)/2) over [-1, 1].
 
@@ -46,27 +39,24 @@ def weighted_moment(m: int, d: int) -> ExactValue:
 
 
 def _moment_table(d: int, size: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    # d's entry of _tables, grown (at least twofold) to `size` bases
-    table, bases = _tables.get(d, ([], []))
-    if len(bases) < size:
-        size = max(size, 2 * len(bases))
-        moment_0 = weighted_moment(0, d)  # as_rational checks that pi cancels from every ratio
-        ratios = [(weighted_moment(m, d) / moment_0).as_rational() for m in range(2 * size - 1)]
-        denominator = math.lcm(*(r.denominator for r in ratios))
-        table = [r.numerator * (denominator // r.denominator) for r in ratios]
-        bases = bases[:]
-        for k in range(len(bases), size):
-            # Gram-Schmidt: t^k less its projections on the lower q, scaled to stay whole; with
-            # q orthogonal below its degree i, <p, q> = p_k <t^k, q> and <q, q> = q_i <t^i, q>
-            p = [0] * k + [1]
-            for i, q in enumerate(bases):
-                along = p[k] * sum(map(operator.mul, q, table[k:]))
-                if along:
-                    norm = q[i] * sum(map(operator.mul, q, table[i:]))
-                    p = [norm * c - along * b for c, b in zip(p, q + (0,) * (k - i))]
-            g = math.gcd(*p) if sum(p) > 0 else -math.gcd(*p)
-            bases.append(tuple(c // g for c in p))
-        _tables[d] = table, bases
+    # built per call: 2 size - 1 moments, table[m] / table[0] = weighted_moment(m, d) / moment_0,
+    # and `size` bases, bases[k] = gegenbauer_poly(k, d) scaled to coprime integers of sum > 0
+    moment_0 = weighted_moment(0, d)  # as_rational checks that pi cancels from every ratio
+    ratios = [(weighted_moment(m, d) / moment_0).as_rational() for m in range(2 * size - 1)]
+    denominator = math.lcm(*(r.denominator for r in ratios))
+    table = [r.numerator * (denominator // r.denominator) for r in ratios]
+    bases = []
+    for k in range(size):
+        # Gram-Schmidt: t^k less its projections on the lower q, scaled to stay whole; with
+        # q orthogonal below its degree i, <p, q> = p_k <t^k, q> and <q, q> = q_i <t^i, q>
+        p = [0] * k + [1]
+        for i, q in enumerate(bases):
+            along = p[k] * sum(map(operator.mul, q, table[k:]))
+            if along:
+                norm = q[i] * sum(map(operator.mul, q, table[i:]))
+                p = [norm * c - along * b for c, b in zip(p, q + (0,) * (k - i))]
+        g = math.gcd(*p) if sum(p) > 0 else -math.gcd(*p)
+        bases.append(tuple(c // g for c in p))
     return table, bases
 
 
@@ -86,7 +76,6 @@ def weighted_integral(p: Polynomial, d: int) -> ExactValue:
     return total
 
 
-@lru_cache(maxsize=None, typed=True)
 def gegenbauer_poly(k: int, d: int) -> Polynomial:
     """Degree-k polynomial orthogonal to all lower degrees, value 1 at t = 1.
 
@@ -140,10 +129,11 @@ def expansion_coeff_closed(j: int, k: int, d: int) -> Rational:
     return Fraction(top, math.perm(j + k + d - 1, j + k))
 
 
-@lru_cache(maxsize=None, typed=True)
 def norm_squared(k: int, d: int) -> ExactValue:
     """Weighted L^2 norm of the degree-k basis polynomial, exactly."""
-    gegenbauer_poly(k, d)  # checks k and d
+    k, d = integer("k", k), integer("d", d)
+    if k < 0:
+        raise ValueError(f"degree must be nonnegative, got {k}")
     table, bases = _moment_table(d, k + 1)
     norm = sum(map(operator.mul, bases[k], _moments_of(bases[k], table, k + 1)))
     return weighted_moment(0, d) * Fraction(norm, table[0] * sum(bases[k]) ** 2)
@@ -160,7 +150,7 @@ def verify_expansion(j_max: int = 4, d: tuple[int, int] = (2, 5)) -> Verificatio
     targets = [ONE_MINUS_T**j for j in range(j_max + 1)]
     for d in range(d_lo, d_hi + 1):
         table, bases = _moment_table(d, j_max + 1)
-        moments = [_moments_of(basis, table, j_max + 1) for basis in bases[: j_max + 1]]
+        moments = [_moments_of(basis, table, j_max + 1) for basis in bases]
         norms = [sum(map(operator.mul, b, w)) for b, w in zip(bases, moments)]
         for j, target in enumerate(targets):
             p = [c.numerator for c in target.coefficients]

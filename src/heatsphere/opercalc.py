@@ -26,12 +26,13 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactnum import Polynomial, Rational, bernoulli, omega_sum
+from .exactnum import Polynomial, Rational, bernoulli, integer, omega_sum
 from .verification import VerificationReport
 
 
 def p_series(order: int) -> Polynomial:
     """2 sinh(D/2) / D up to D^order: coefficient of D^(2i) is 1/(4^i (2i+1)!)."""
+    order = integer("order", order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs = [Fraction(0)] * (order // 2 * 2 + 1)
@@ -42,6 +43,7 @@ def p_series(order: int) -> Polynomial:
 
 def invert_series(s: Polynomial, order: int) -> Polynomial:
     """Inverse up to D^order by long division; needs a nonzero constant term."""
+    order = integer("order", order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     a0 = s.coefficient(0)
@@ -55,6 +57,7 @@ def invert_series(s: Polynomial, order: int) -> Polynomial:
 
 def apply_to_monomial(s: Polynomial, m: int) -> Rational:
     """(s(D) x^m) evaluated at x = 0, i.e. m! times the D^m coefficient."""
+    m = integer("m", m)
     if m < 0:
         raise ValueError(f"monomial degree must be nonnegative, got {m}")
     return math.factorial(m) * s.coefficient(m)
@@ -68,6 +71,7 @@ def check_bernoulli_link(t_max: int = 8) -> VerificationReport:
     normalization the right side flips sign.  Both readings go in the
     notes so nobody has to rediscover which one this module uses.
     """
+    t_max = integer("t_max", t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be positive, got {t_max}")
     report = VerificationReport("bernoulli-link", [("t", f"1..{t_max}")])
@@ -96,6 +100,7 @@ def check_lemma(which: str, t: int, s: int, omega_prime: int) -> bool:
     omega_prime below the stated bound is evaluated as asked: probing
     where the hypotheses stop holding is part of the test surface.
     """
+    t, s, omega_prime = integer("t", t), integer("s", s), integer("omega_prime", omega_prime)
     if which not in ("ff1_bb", "ff2_e2"):
         raise ValueError(f"unknown lemma {which!r}")
     if s < 0:
@@ -144,15 +149,14 @@ def _times(a: list[int], b: list[int]) -> list[int]:
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
-def verify_lemmas(
-    t_max: int = 4, s_max: int = 3, slack: int = 3
-) -> VerificationReport:
+def verify_lemmas(t_max: int = 4, s_max: int = 3, slack: int = 3) -> VerificationReport:
     """Both lemmas on their stated boxes, plus the below-bound probe.
 
     The probe at omega_prime = 2t + s - 1 is informational: the stated
     bound is a hypothesis, not claimed sharp, so probe outcomes go into
     the notes instead of the pass/fail tally.
     """
+    t_max, s_max, slack = integer("t_max", t_max), integer("s_max", s_max), integer("slack", slack)
     report = VerificationReport(
         "lemmas",
         [("t", f"0..{t_max}"), ("s", f"0..{s_max}"), ("omega'", f"2t+s..2t+s+{slack}")],

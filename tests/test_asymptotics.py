@@ -7,6 +7,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heatsphere import asymptotics
 from heatsphere.asymptotics import (
@@ -15,6 +17,7 @@ from heatsphere.asymptotics import (
     RemainderEstimate,
     TruncationCapError,
     _partial_sum,
+    _tail_within,
     heat_trace_numeric,
     remainder_order,
 )
@@ -245,6 +248,21 @@ def test_tail_bound_dominates_the_multiplicity_by_half():
     for d in [*range(1, 61), 99, 160, 200, 1001]:
         for k in [*range(1, 61), 1000]:
             assert 3 * multiplicity(k, d) <= 2 * (2 * k + d) ** d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.floats(min_value=-6, max_value=0),
+    st.integers(min_value=1, max_value=20000),
+    st.integers(min_value=1, max_value=20000),
+    st.floats(min_value=-40, max_value=700),
+)
+def test_a_tail_that_passes_passes_at_every_later_index(d, log10_t, j, step, bound):
+    # the walk ends by testing the tail at cap + 1 alone, which rests on this implication
+    t = 10.0**log10_t
+    assume(_tail_within(d, t, j, bound))
+    assert _tail_within(d, t, j + 1, bound) and _tail_within(d, t, j + step, bound)
 
 
 def outcome(function, *args):

@@ -686,13 +686,14 @@ def test_command_parser_is_the_trees(name):
     assert alone.format_usage() == in_tree.format_usage()
 
 
-def test_a_command_builds_no_tree(capsys):
-    _parser.cache_clear()
+def test_a_command_builds_no_tree(capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "_parser", lambda: builds.append(1) or _parser())
     assert run_cli(capsys, "compute", "--n", "1", "--d", "3")[0] == 0
     assert run_cli(capsys, "verify", "sharpness")[0] == 0
-    assert _parser.cache_info().currsize == 0
+    assert len(builds) == 0
     assert run_cli(capsys, "compute", "--n", "1", "--d", "3", "--bogus")[0] == 2
-    assert _parser.cache_info().currsize == 1
+    assert len(builds) == 1
 
 
 # argvs whose namespace or error the parser of one command and the whole tree must agree on
@@ -776,8 +777,7 @@ def test_a_trailing_double_dash_ends_the_options(capsys, command):
 
 
 def test_one_process_runs_commands_back_to_back(capsys):
-    # each parser is built once per process; no call may see another's flags
-    assert _parser() is _parser()
+    # each command's parser is built once per process; no call may see another's flags
     assert all(_command_parser(name) is _command_parser(name) for name in COMMANDS)
     code, out, _ = run_cli(capsys, "compute", "--n", "1", "--d", "3")
     assert code == 0 and json.loads(out)["value"] == {"num": "1", "den": "4", "pi_half": 1}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -186,6 +187,36 @@ def test_sums_reject_n_below_one_and_negative_omega(func):
         func(0, 3)
     with pytest.raises(ValueError, match="need omega >= 0, got -1"):
         func(1, -1)
+
+
+def test_integer_rule():
+    # the rule of heat_invariant: a non-integer is named before any range check
+    for call, message in (
+        (lambda: s1_sum(2.0, 4, 0), "n must be an integer, not float: n=2.0"),
+        (lambda: s1_sum(True, 2, 0), "n must be an integer, not bool: n=True"),
+        (lambda: s1_sum(0, 2.5, 0), "omega must be an integer, not float: omega=2.5"),
+        (lambda: s1_sum_one_sided(1, None), "omega must be an integer, not NoneType: omega=None"),
+        (lambda: s3_sum(1.0, 2), "n must be an integer, not float: n=1.0"),
+        (lambda: s3_sum(True, 2), "n must be an integer, not bool: n=True"),
+        (lambda: s3_expected("2"), "n must be an integer, not str: n='2'"),
+        (lambda: alternating_power_sum(1.5, 2), "j must be an integer, not float: j=1.5"),
+        (lambda: alternating_power_sum(True, 2), "j must be an integer, not bool: j=True"),
+        (lambda: alternating_power_sum(-1, 2.0), "s must be an integer, not float: s=2.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    class Index:  # an integer type that is not int, as numpy's are
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert s1_sum(Index(1), Index(2), Fraction(1, 2)) == s1_sum(1, 2, Fraction(1, 2)) == 0
+    assert s1_sum_one_sided(Index(1), Index(1)) == Fraction(-1, 12)
+    assert s3_sum(Index(2), Index(4)) == s3_expected(Index(2)) == s3_expected(2)
+    assert alternating_power_sum(Index(2), Index(4)) == 24
 
 
 def test_verify_rejects_unknown_name_and_keys():

@@ -4,6 +4,7 @@ from math import factorial, perm, prod
 
 import pytest
 
+from heatsphere import legendre
 from heatsphere.exactnum import ExactValue, Polynomial, gamma_half
 from heatsphere.legendre import (
     ONE_MINUS_T,
@@ -174,8 +175,8 @@ def test_closed_form_validation():
 
 
 def test_integer_rule():
-    # a non-integer is named before any range check; a cached value of 3 or 1 does not
-    # answer for 3.0 or True
+    # a non-integer is named before any range check, also where the same call with 3 or 1
+    # has just answered
     assert gegenbauer_poly(2, 3) and weighted_moment(2, 3) and norm_squared(2, 3)
     for call, message in (
         (lambda: weighted_moment(2, 3.0), "d must be an integer, not float: d=3.0"),
@@ -224,18 +225,39 @@ def test_moment_table_holds_the_beta_integral_ratios():
             assert ratio == (0 if m % 2 else product)
 
 
-def test_moment_table_grows_and_keeps_its_bases():
+def test_a_smaller_moment_table_is_a_prefix_of_a_larger():
     d = 61
     small_table, small_bases = _moment_table(d, 2)
     table, bases = _moment_table(d, 9)
-    assert len(bases) >= 9 and len(table) == 2 * len(bases) - 1
     assert bases[: len(small_bases)] == small_bases
     assert [Fraction(t, table[0]) for t in table[: len(small_table)]] == [
         Fraction(t, small_table[0]) for t in small_table
     ]
-    assert _moment_table(d, 9) == (table, bases)  # one table per d, kept
     for k, basis in enumerate(bases):
         assert gegenbauer_poly(k, d) == Polynomial.from_coefficients(basis) * Fraction(1, sum(basis))
+
+
+@pytest.mark.parametrize("d", [2, 3, 61])
+def test_a_moment_table_has_the_size_asked(d):
+    # exactly `size` bases and 2 size - 1 moments, also right after a larger table of d
+    for size in (2, 9, 2, 1):
+        table, bases = _moment_table(d, size)
+        assert (len(bases), len(table)) == (size, 2 * size - 1)
+
+
+def test_legendre_keeps_no_state():
+    def sizes():
+        kept = vars(legendre).items()
+        return {name: len(value) for name, value in kept if type(value) in (dict, list, set)}
+
+    before = sizes()
+    for d in (2, 5, 97):  # 97: a d no other test asks
+        weighted_moment(4, d), weighted_integral(ONE_MINUS_T**3, d), norm_squared(5, d)
+        gegenbauer_poly(6, d), expansion_coeff(7, 3, d), expansion_coeff_closed(7, 3, d)
+    assert verify_expansion(j_max=4, d=(96, 97)).passed
+    assert sizes() == before
+    own = [f for f in vars(legendre).values() if getattr(f, "__module__", "") == legendre.__name__]
+    assert len(own) >= 7 and not any(hasattr(function, "cache_info") for function in own)
 
 
 def test_verify_expansion_wider_box():

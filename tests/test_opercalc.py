@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -144,6 +145,42 @@ def test_check_lemma_validation():
         check_lemma("ff2_e2", 1, -1, 2)
     with pytest.raises(ValueError):
         check_lemma("ff2_e2", 1, 0, -1)
+
+
+def test_integer_rule():
+    # the rule of heat_invariant: a non-integer is named before any range check
+    for call, message in (
+        (lambda: p_series(True), "order must be an integer, not bool: order=True"),
+        (lambda: p_series(-1.0), "order must be an integer, not float: order=-1.0"),
+        (lambda: invert_series(ONE, 2.0), "order must be an integer, not float: order=2.0"),
+        (lambda: apply_to_monomial(ONE, "0"), "m must be an integer, not str: m='0'"),
+        (lambda: check_lemma("ff1_bb", 1.0, 0, 2), "t must be an integer, not float: t=1.0"),
+        (lambda: check_lemma("ff2_e2", 0, -1.0, 2), "s must be an integer, not float: s=-1.0"),
+        (
+            lambda: check_lemma("ff2_e2", 0, 0, True),
+            "omega_prime must be an integer, not bool: omega_prime=True",
+        ),
+        (lambda: check_bernoulli_link(2.0), "t_max must be an integer, not float: t_max=2.0"),
+        (lambda: verify_lemmas(True), "t_max must be an integer, not bool: t_max=True"),
+        (lambda: verify_lemmas(2, 1.0), "s_max must be an integer, not float: s_max=1.0"),
+        (lambda: verify_lemmas(2, 1, None), "slack must be an integer, not NoneType: slack=None"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    class Index:  # an integer type that is not int, as numpy's are
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert p_series(Index(4)) == p_series(4)
+    assert invert_series(p_series(4), Index(4)) == invert_series(p_series(4), 4)
+    assert apply_to_monomial(p_series(4), Index(2)) == Fraction(1, 12)
+    assert check_lemma("ff2_e2", Index(1), Index(0), Index(2)) is True
+    assert check_bernoulli_link(Index(2)).passed
+    assert verify_lemmas(Index(1), Index(1), Index(1)).passed
 
 
 def test_verify_lemmas_report():
