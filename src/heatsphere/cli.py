@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -30,7 +30,7 @@ from . import asymptotics, identities, invariants, legendre, opercalc
 from .exactnum import pi_half_float
 from .verification import VerificationReport
 
-CSV_HEADER = ["n", "d", "omega", "route", "num", "den", "pi_half", "float"]
+CSV_HEADER = "n,d,omega,route,num,den,pi_half,float\r\n"
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -64,16 +64,6 @@ def _parse_rationals(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}") from None
 
 
-def _csv_row(result: invariants.HeatInvariantResult) -> tuple:
-    """One CSV row: n, d, omega, route, num, den, pi_half, and the double (None beyond range)."""
-    n, d, omega, route, (coeff, pi_half) = result
-    try:
-        double = float(result.value)
-    except OverflowError:
-        double = None
-    return (n, d, omega, route, coeff.numerator, coeff.denominator, pi_half, double)
-
-
 # One record as the bytes of json.dumps(record), built straight from the integers: routes are
 # ASCII identifiers, num/den decimal digits, pi_half_float raises OverflowError rather than
 # return inf, and log10_abs (from the exact integers, so that magnitudes beyond a double survive)
@@ -93,6 +83,18 @@ def _json_line(result: invariants.HeatInvariantResult) -> str:
         f'"route": "{route}", "value": {{"num": "{num}", "den": "{den}", "pi_half": {pi_half}}}, '
         f'"float_value": {double}, "log10_abs": {log10_abs}}}\n'
     )
+
+
+# One record as the bytes csv.writer writes, "\r\n" and all. Nothing needs quoting: every field is
+# an int, an ASCII route name, a float's repr() or empty, so none holds a comma, quote or line end.
+def _csv_line(result: invariants.HeatInvariantResult) -> str:
+    n, d, omega, route, (coeff, pi_half) = result
+    num, den = coeff.numerator, coeff.denominator
+    try:
+        double = pi_half_float(num, den, pi_half)
+    except OverflowError:
+        double = ""
+    return f"{n},{d},{'' if omega is None else omega},{route},{num},{den},{pi_half},{double}\r\n"
 
 
 def _compute_results(args: argparse.Namespace) -> list[invariants.HeatInvariantResult]:
@@ -124,15 +126,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         return 0, map(_json_line, results)  # formatted as written: no second copy of a big box
     if args.format == "markdown":
         return 0, _markdown_lines(args, results)
-    # csv writes None as an empty field and a float as its repr; imported here, off
-    # the startup path of every other command
-    import csv
-
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(CSV_HEADER)
-    writer.writerows(map(_csv_row, results))
-    return 0, [out.getvalue()]
+    return 0, itertools.chain([CSV_HEADER], map(_csv_line, results))
 
 
 # verify target -> (runner, the flags it takes).  Each flag is passed as the

@@ -114,9 +114,10 @@ def _omega_grid(
 ) -> tuple[VerificationReport, list[tuple[int, list[int]]]]:
     """A sweep's empty report and its points by n: (n, [omega = 2n + offset >= 0]), if any.
 
-    The n range is checked before any point is evaluated.
+    Each span end is an integer (`integer`) and n >= 1, checked before any point is evaluated.
     """
-    (n_lo, n_hi), (off_lo, off_hi) = n, offset
+    n_lo, n_hi = [integer("n", end) for end in n]
+    off_lo, off_hi = [integer("offset", end) for end in offset]
     if n_lo < 1:
         raise ValueError(f"need n >= 1, got {n_lo}..{n_hi}")
     report = VerificationReport(
@@ -140,6 +141,8 @@ def _s1(n=(1, 5), offset=(0, 4)) -> VerificationReport:
 
 
 def _s1g(n=(1, 5), offset=(0, 4), x=_X_DEFAULT) -> VerificationReport:
+    if isinstance(x, str):  # one rational's text is not an iterable of rationals
+        raise ValueError(f"x must be an iterable of rationals, not str: x={x!r}")
     xs = tuple(map(Fraction, x))
     report, groups = _omega_grid("s1g", n, offset, ("x", ",".join(map(str, xs))))
     for k, omegas in groups:
@@ -159,6 +162,7 @@ def _s3(n=(1, 5), offset=(0, 3)) -> VerificationReport:
 
 
 def _vychet(j_max=10) -> VerificationReport:
+    j_max = integer("j_max", j_max)
     report = VerificationReport("vychet", [("j", f"0..{j_max}"), ("s", "0..2j")])
     for j in range(j_max + 1):
         for s in range(2 * j):

@@ -395,7 +395,7 @@ def verify_crosscheck(
 ) -> VerificationReport:
     """The general entry of `ROUTES` against the parity entry of each d, cell by
     cell, so that the parity route runs even where `auto` would not take it."""
-    (n_lo, n_hi), (d_lo, d_hi) = n, d
+    (n_lo, n_hi), (d_lo, d_hi) = [integer("n", end) for end in n], [integer("d", end) for end in d]
     report = VerificationReport(
         "crosscheck", [("n", f"{n_lo}..{n_hi}"), ("d", f"{d_lo}..{d_hi}")]
     )
@@ -411,7 +411,7 @@ def verify_omega_stability(
     n: tuple[int, int] = (1, 6), d: tuple[int, int] = (1, 8)
 ) -> VerificationReport:
     """Value must not move anywhere on omega in [2n, 3n+4]."""
-    (n_lo, n_hi), (d_lo, d_hi) = n, d
+    (n_lo, n_hi), (d_lo, d_hi) = [integer("n", end) for end in n], [integer("d", end) for end in d]
     report = VerificationReport(
         "omega-stability",
         [("n", f"{n_lo}..{n_hi}"), ("d", f"{d_lo}..{d_hi}"), ("omega", "2n..3n+4")],
@@ -433,6 +433,7 @@ def verify_sharpness(
     points: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (2, 3))
 ) -> VerificationReport:
     """omega = 2n - 1 must give a different number than omega = 2n."""
+    points = [(integer("n", n), integer("d", d)) for n, d in points]
     report = VerificationReport(
         "sharpness", [("(n,d)", ",".join(f"({n},{d})" for n, d in points))]
     )

@@ -145,7 +145,7 @@ def verify_expansion(j_max: int = 4, d: tuple[int, int] = (2, 5)) -> Verificatio
     Checks that sum_k c_{jk} L_{k,d} rebuilds (1 - t)^j exactly and that
     the closed form reproduces the brute-force coefficients.
     """
-    d_lo, d_hi = d
+    j_max, (d_lo, d_hi) = integer("j_max", j_max), [integer("d", end) for end in d]
     report = VerificationReport("legendre", [("j", f"0..{j_max}"), ("d", f"{d_lo}..{d_hi}")])
     targets = [ONE_MINUS_T**j for j in range(j_max + 1)]
     for d in range(d_lo, d_hi + 1):

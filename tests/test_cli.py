@@ -131,7 +131,7 @@ def box_results(box):
     ]
 
 
-# each branch of the JSON line formatter: see test_compute_boxes_reach_every_branch
+# each branch of the JSON and CSV line formatters: see test_compute_boxes_reach_every_branch
 COMPUTE_BOXES = [
     ("5", "1..6"),
     ("0..3", "7..9"),
@@ -156,6 +156,30 @@ def test_compute_prints_what_the_cell_path_prints(capsys, box, no_int_digit_limi
     assert code == 0
     # byte for byte what json.dumps prints for the record of each cell's own result
     assert out == "".join(json.dumps(record_dict(r)) + "\n" for r in box_results(box))
+
+
+def csv_fields(result) -> tuple:
+    """A CSV row's fields for csv.writer, built from the result by the reference helpers above:
+    None, which csv.writer writes as an empty field, for no omega and for no double."""
+    value = result.value
+    coeff = value.coeff
+    return (
+        *(result.n, result.d, result.omega_used, result.route),
+        *(coeff.numerator, coeff.denominator, value.pi_half, reference_float(value)),
+    )
+
+
+@pytest.mark.parametrize("box", COMPUTE_BOXES, ids="-".join)
+def test_compute_csv_is_what_csv_writer_writes(capsys, box, no_int_digit_limit):
+    n, d, *flags = box
+    code, out, _ = run_cli(capsys, "compute", "--n", n, "--d", d, *flags, "--format", "csv")
+    assert code == 0
+    # byte for byte what the standard library's writer writes, "\r\n" line ends and all
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["n", "d", "omega", "route", "num", "den", "pi_half", "float"])
+    writer.writerows(map(csv_fields, box_results(box)))
+    assert out == expected.getvalue()
 
 
 def test_compute_prints_the_table_box_as_the_reference_does(capsys):

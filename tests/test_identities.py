@@ -202,6 +202,23 @@ def test_integer_rule():
         (lambda: alternating_power_sum(1.5, 2), "j must be an integer, not float: j=1.5"),
         (lambda: alternating_power_sum(True, 2), "j must be an integer, not bool: j=True"),
         (lambda: alternating_power_sum(-1, 2.0), "s must be an integer, not float: s=2.0"),
+        # a sweep's box: each span end and j_max, before any point is evaluated
+        (lambda: verify_identity("s1", {"n": (1.0, 2)}), "n must be an integer, not float: n=1.0"),
+        (lambda: verify_identity("s1", {"n": (True, 2)}), "n must be an integer, not bool: n=True"),
+        (
+            lambda: verify_identity("s3", {"offset": (0, 2.0)}),
+            "offset must be an integer, not float: offset=2.0",
+        ),
+        (lambda: verify_identity("s1g", {"n": (1, "2")}), "n must be an integer, not str: n='2'"),
+        (
+            lambda: verify_identity("vychet", {"j_max": 2.5}),
+            "j_max must be an integer, not float: j_max=2.5",
+        ),
+        # s1g's x is an iterable of rationals, not one rational's text
+        (
+            lambda: verify_identity("s1g", {"x": "1/2"}),
+            "x must be an iterable of rationals, not str: x='1/2'",
+        ),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
@@ -217,6 +234,10 @@ def test_integer_rule():
     assert s1_sum_one_sided(Index(1), Index(1)) == Fraction(-1, 12)
     assert s3_sum(Index(2), Index(4)) == s3_expected(Index(2)) == s3_expected(2)
     assert alternating_power_sum(Index(2), Index(4)) == 24
+    box = {"n": (Index(1), Index(3)), "offset": (Index(0), Index(2))}
+    report = verify_identity("s1", {"n": (1, 3), "offset": (0, 2)})
+    assert verify_identity("s1", box).as_dict() == report.as_dict()
+    assert verify_identity("vychet", {"j_max": Index(4)}).points_checked == 25
 
 
 def test_verify_rejects_unknown_name_and_keys():

@@ -238,6 +238,26 @@ def test_k_tables_apply_the_integer_rule(monkeypatch, table, name):
     assert table(Index(4), Index(1)) == table(4, 1) and table(Index(4)) == table(4)
 
 
+def test_verify_sweeps_apply_the_integer_rule_to_their_box():
+    # each span end and sharpness point is an integer before any point is evaluated
+    for call, message in (
+        (lambda: verify_crosscheck(n=(1.0, 2)), "n must be an integer, not float: n=1.0"),
+        (lambda: verify_crosscheck(n=(True, 2)), "n must be an integer, not bool: n=True"),
+        (lambda: verify_crosscheck(d=(2, "3")), "d must be an integer, not str: d='3'"),
+        (lambda: verify_omega_stability(n=(1.5, 2)), "n must be an integer, not float: n=1.5"),
+        (lambda: verify_omega_stability(d=(1, True)), "d must be an integer, not bool: d=True"),
+        (lambda: verify_sharpness(((1.0, 1),)), "n must be an integer, not float: n=1.0"),
+        (lambda: verify_sharpness(((1, 1), (2, 1.0))), "d must be an integer, not float: d=1.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    spans = (Index(1), Index(3)), (Index(2), Index(4))
+    for sweep in (verify_crosscheck, verify_omega_stability):
+        assert sweep(*spans).as_dict() == sweep((1, 3), (2, 4)).as_dict()
+    points = ((Index(2), Index(3)),)
+    assert verify_sharpness(points).as_dict() == verify_sharpness(((2, 3),)).as_dict()
+
+
 def test_general_route_values():
     assert heat_invariant_general(1, 3, 2) == sqrtpi(1, 4)
     assert heat_invariant_general(2, 1, 4) == ExactValue(Fraction(0))

@@ -188,6 +188,11 @@ def test_integer_rule():
         (lambda: expansion_coeff(1, 2.0, -3), "k must be an integer, not float: k=2.0"),
         (lambda: expansion_coeff_closed(True, 0, 3), "j must be an integer, not bool: j=True"),
         (lambda: expansion_coeff_closed(1, 0, "3"), "d must be an integer, not str: d='3'"),
+        # the sweep's box: j_max and each end of the d span, before any point is evaluated
+        (lambda: verify_expansion(j_max=2.5), "j_max must be an integer, not float: j_max=2.5"),
+        (lambda: verify_expansion(j_max=True), "j_max must be an integer, not bool: j_max=True"),
+        (lambda: verify_expansion(d=(2.0, 3)), "d must be an integer, not float: d=2.0"),
+        (lambda: verify_expansion(d=(2, "3")), "d must be an integer, not str: d='3'"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
@@ -202,6 +207,8 @@ def test_integer_rule():
     assert expansion_coeff_closed(Index(2), Index(1), Index(3)) == expansion_coeff_closed(2, 1, 3)
     assert expansion_coeff(Index(2), Index(1), Index(3)) == expansion_coeff(2, 1, 3)
     assert gegenbauer_poly(Index(2), Index(3)) == gegenbauer_poly(2, 3)
+    report = verify_expansion(Index(3), (Index(2), Index(4)))
+    assert report.as_dict() == verify_expansion(3, (2, 4)).as_dict()
 
 
 def test_verify_expansion_report():

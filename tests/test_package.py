@@ -122,9 +122,24 @@ def test_importing_the_cli_loads_no_slow_module():
 
 
 def test_a_bare_interpreter_prints_the_pinned_csv():
-    # csv is imported only when csv is asked for; the bytes, "\r\n" line ends and all,
-    # stay the pinned ones
+    # no command imports csv: the rows are formatted by the package, and their bytes,
+    # "\r\n" line ends and all, stay the pinned ones
     command = "compute --n 0..32 --d 1..72 --format csv"
     digests = json.loads((TESTS / "data" / "compute_digests.json").read_text())
     out = run_bare_python("-m", "heatsphere", *command.split())
     assert hashlib.sha256(out).hexdigest() == digests[command]
+
+
+BARE_CSV = """
+import sys
+import heatsphere.cli
+code = heatsphere.cli.main(["compute", "--n", "0..3", "--d", "1..4", "--format", "csv"])
+print(code, sorted({"csv", "_csv"} & set(sys.modules)))
+"""
+
+
+def test_compute_csv_loads_no_csv_module():
+    out = run_bare_python("-c", BARE_CSV).decode()
+    rows, _, last = out.rpartition("\r\n")
+    assert rows.startswith("n,d,omega,route,num,den,pi_half,float") and rows.count("\r\n") == 16
+    assert last == "0 []\n"
